@@ -30,7 +30,7 @@ from .likelihood import (
     strategy_two_mean,
     summarize,
 )
-from .linalg import cholesky, mvn_logpdf, mvn_pdf, sample_mvn, spd_repair
+from .linalg import cholesky, mvn_logpdf, mvn_pdf, mvn_pdf_batch, sample_mvn, spd_repair
 from .niw import (
     NigParams,
     NiwParams,
@@ -101,6 +101,7 @@ __all__ = [
     "init_restart",
     "mvn_logpdf",
     "mvn_pdf",
+    "mvn_pdf_batch",
     "nig_posterior",
     "posterior_update",
     "posterior_update_raw",

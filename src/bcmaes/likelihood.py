@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantViolation, NonFiniteFitness, NonPositiveDensity, NotPositiveDefinite
-from .linalg import cholesky, scaled_jitter_eps, spd_repair
+from .errors import InvariantViolation, NonFiniteFitness, NonPositiveDensity, RepairFailed
+from .linalg import scaled_jitter_eps, spd_repair
 from .niw import SummaryStats
 
 _WEIGHT_SUM_TOL = 1e-12
@@ -146,7 +146,9 @@ def corrected_covariance(
     Computes ``A - (B - prior_cov)`` where A is the weighted scatter of the
     fitness-sorted points about their rank-paired mean and B is the weighted
     scatter of the raw pairing about the raw weighted mean. The result is
-    symmetrized and, if indefinite, jitter-repaired.
+    symmetrized and, if indefinite, jitter-repaired; when the jitter ladder
+    fails, the eigenvalues are floored at ``scaled_jitter_eps(prior_cov)``
+    instead, which yields a positive-definite estimate.
     """
     prior_cov = np.asarray(prior_cov, dtype=float)
     ranked_mean = r.weights_w_desc @ r.points_f_asc
@@ -158,10 +160,14 @@ def corrected_covariance(
     out = a - (b - prior_cov)
     out = 0.5 * (out + out.T)
     try:
-        cholesky(out)
-        return out
-    except NotPositiveDefinite:
-        return spd_repair(out, scaled_jitter_eps(out))
+        return spd_repair(out, scaled_jitter_eps(out))[0]
+    except RepairFailed:
+        # With k < d the two rank-(k-1) scatters can leave an indefinite part
+        # at the scale of prior_cov itself, beyond the jitter ladder: project
+        # onto the positive-definite cone, flooring eigenvalues relative to prior_cov.
+        eigvals, eigvecs = np.linalg.eigh(out)
+        out = (eigvecs * np.maximum(eigvals, scaled_jitter_eps(prior_cov))) @ eigvecs.T
+        return 0.5 * (out + out.T)
 
 
 def summarize(

@@ -1,13 +1,24 @@
 """Dense symmetric-matrix primitives, multivariate normal sampling and density.
 
 All matrices are dense row-major ``float64`` arrays; the intended regime is
-small dimension (experiments run at d = 2, anything up to d ~ 100 is fine).
+small dimension (experiments run at d = 2). Runs up to d ~ 100 finish at
+the default sigma0, including popsize < d: there the covariance estimate can
+be indefinite beyond what the jitter ladder of :func:`spd_repair` repairs,
+and the likelihood layer then projects it onto the positive-definite cone
+instead. (At d ~ 100 with a very large sigma0 the densities can still
+underflow to zero.)
+
+:func:`spd_repair` returns the Cholesky factor of the matrix it accepts, so
+one factorization per matrix serves both :func:`sample_mvn` and the batch
+density :func:`mvn_pdf_batch`.
 """
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 from .errors import NotPositiveDefinite, RepairFailed
 from .rng import RandomSource
@@ -47,12 +58,13 @@ def cholesky(m: np.ndarray) -> np.ndarray:
         raise NotPositiveDefinite(str(exc)) from exc
 
 
-def spd_repair(m: np.ndarray, eps: float = 1e-10) -> np.ndarray:
-    """Return ``m + delta * I`` with the smallest escalating jitter that factorizes.
+def spd_repair(m: np.ndarray, eps: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+    """Return ``(m + delta * I, L)`` with the smallest escalating jitter that factorizes.
 
     ``delta`` is tried from ``{0, eps, 10*eps, ..., 1e11*eps}``; the first
-    value whose Cholesky succeeds wins. Positive-definite input is returned
-    unchanged.
+    value whose Cholesky succeeds wins, and ``L`` is the lower factor that
+    attempt computed. Attempt 0 factors ``m`` itself, so positive-definite
+    input is returned unchanged (the same array) with its own factor.
 
     Raises
     ------
@@ -62,14 +74,17 @@ def spd_repair(m: np.ndarray, eps: float = 1e-10) -> np.ndarray:
     if eps <= 0:
         raise ValueError("eps must be positive")
     m = check_symmetric(m)
+    try:
+        return m, np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        pass
     eye = np.eye(m.shape[0])
-    for attempt in range(13):
-        delta = 0.0 if attempt == 0 else eps * 10.0 ** (attempt - 1)
+    for power in range(12):
+        repaired = m + eps * 10.0**power * eye
         try:
-            np.linalg.cholesky(m + delta * eye)
+            return repaired, np.linalg.cholesky(repaired)
         except np.linalg.LinAlgError:
             continue
-        return m if attempt == 0 else m + delta * eye
     raise RepairFailed(f"matrix not positive definite after 12 jitter escalations (eps={eps})")
 
 
@@ -85,12 +100,20 @@ def scaled_jitter_eps(m: np.ndarray, base: float = 1e-10) -> float:
     return base * max(1.0, scale)
 
 
-def sample_mvn(mean: np.ndarray, cov: np.ndarray, k: int, rng: RandomSource) -> np.ndarray:
+def sample_mvn(
+    mean: np.ndarray,
+    cov: np.ndarray,
+    k: int,
+    rng: RandomSource,
+    factor: Optional[np.ndarray] = None,
+) -> np.ndarray:
     """Draw ``k`` points from N(mean, cov), consuming exactly ``k * d`` normal variates.
 
     The variate layout is row-major: point ``i`` uses variates
     ``[i*d, (i+1)*d)`` of the stream, and ``x_i = mean + L z_i`` with ``L``
-    the lower Cholesky factor of ``cov``.
+    the lower Cholesky factor of ``cov``. A caller that already holds ``L``
+    (from :func:`spd_repair`) passes it as ``factor`` to skip the
+    factorization; the points are the same bits either way.
 
     Raises
     ------
@@ -104,19 +127,47 @@ def sample_mvn(mean: np.ndarray, cov: np.ndarray, k: int, rng: RandomSource) -> 
     if k < 2:
         raise ValueError("k must be at least 2")
     d = mean.shape[0]
-    L = cholesky(cov)
+    L = cholesky(cov) if factor is None else factor
     z = rng.standard_normals(k * d).reshape(k, d)
     return mean + z @ L.T
+
+
+def _logpdf_rows(mean: np.ndarray, factor: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Log-density of N(mean, L L^T) at each row of ``points``, from the lower factor ``L``.
+
+    Each row takes one LAPACK ``dtrtrs`` call on the Fortran-ordered view
+    ``L.T``, the call ``solve_triangular(L, b, lower=True)`` makes for a
+    C-ordered ``L``, so every value keeps the bits of a per-point solve. A
+    single batched solve sums in another order and does not.
+    """
+    dev = np.asarray(points, dtype=float) - mean
+    if not np.all(np.isfinite(dev)):
+        raise ValueError("points and mean must be finite")
+    upper = factor.T
+    c = -0.5 * mean.shape[0] * _LOG_2PI - np.sum(np.log(np.diag(factor)))
+    out = np.empty(dev.shape[0])
+    for i, row in enumerate(dev):
+        y, info = dtrtrs(upper, row, lower=0, trans=1)
+        if info != 0:
+            raise NotPositiveDefinite("the Cholesky factor is singular")
+        out[i] = c - 0.5 * y @ y
+    return out
+
+
+def mvn_pdf_batch(mean: np.ndarray, factor: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Densities of N(mean, L L^T) at each row of ``points``, from the lower factor ``L``.
+
+    Equal, bit for bit, to ``[mvn_pdf(mean, cov, x) for x in points]`` when
+    ``L`` is the Cholesky factor of ``cov``.
+    """
+    return np.exp(_logpdf_rows(np.asarray(mean, dtype=float), factor, points))
 
 
 def mvn_logpdf(mean: np.ndarray, cov: np.ndarray, x: np.ndarray) -> float:
     """Log-density of N(mean, cov) at ``x``, via one triangular solve."""
     mean = np.asarray(mean, dtype=float)
     x = np.asarray(x, dtype=float)
-    d = mean.shape[0]
-    L = cholesky(cov)
-    y = solve_triangular(L, x - mean, lower=True)
-    return float(-0.5 * d * _LOG_2PI - np.sum(np.log(np.diag(L))) - 0.5 * y @ y)
+    return float(_logpdf_rows(mean, cholesky(cov), x[None, :])[0])
 
 
 def mvn_pdf(mean: np.ndarray, cov: np.ndarray, x: np.ndarray) -> float:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegreesOfFreedomTooLow, InvariantViolation, NotPositiveDefinite, RepairFailed
-from .linalg import check_symmetric, cholesky, scaled_jitter_eps, spd_repair
+from .errors import DegreesOfFreedomTooLow, InvariantViolation, RepairFailed
+from .linalg import check_symmetric, scaled_jitter_eps, spd_repair
 
 _PSD_TOL = 1e-10
 
@@ -168,12 +168,9 @@ def posterior_update(p: NiwParams, s: SummaryStats) -> NiwParams:
     psi_new = p.psi + s.sigma_bar + (p.kappa * n) / (p.kappa + n) * np.outer(shift, shift)
     psi_new = 0.5 * (psi_new + psi_new.T)
     try:
-        cholesky(psi_new)
-    except NotPositiveDefinite:
-        try:
-            psi_new = spd_repair(psi_new, scaled_jitter_eps(psi_new))
-        except RepairFailed as exc:
-            raise InvariantViolation("updated psi is not repairable to SPD") from exc
+        psi_new = spd_repair(psi_new, scaled_jitter_eps(psi_new))[0]
+    except RepairFailed as exc:
+        raise InvariantViolation("updated psi is not repairable to SPD") from exc
     return NiwParams(mu=mu_new, kappa=p.kappa + n, nu=p.nu + n, psi=psi_new)
 
 

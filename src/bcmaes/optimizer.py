@@ -12,15 +12,16 @@ always the belief's expected covariance.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import PriorDegeneracy, RepairFailed
+from .errors import InvariantViolation, PriorDegeneracy, RepairFailed
 from .likelihood import STRATEGIES, CandidateSet, summarize
-from .linalg import frobenius_norm, mvn_pdf, sample_mvn, scaled_jitter_eps, spd_repair
+from .linalg import frobenius_norm, mvn_pdf_batch, sample_mvn, scaled_jitter_eps, spd_repair
 from .niw import NiwParams, expected_covariance, expected_mean, posterior_update
 from .restart import (
     DEFAULT_FACTORS,
@@ -142,11 +143,13 @@ def init_prior(x0: np.ndarray, sigma0: float, dim: int) -> NiwParams:
     return NiwParams(mu=x0, kappa=1.0, nu=nu, psi=psi)
 
 
-def _evaluate(points: np.ndarray, objective, parallel: bool) -> tuple[np.ndarray, int]:
-    """Evaluate the population; NaN results map to +inf. Returns (fitness, nan count)."""
-    if parallel:
-        with ThreadPoolExecutor() as pool:
-            raw = np.fromiter(pool.map(objective, points), dtype=float, count=len(points))
+def _evaluate(points: np.ndarray, objective, pool: Optional[Executor]) -> tuple[np.ndarray, int]:
+    """Evaluate the population, on ``pool`` if given; NaN results map to +inf.
+
+    Returns (fitness, nan count).
+    """
+    if pool is not None:
+        raw = np.fromiter(pool.map(objective, points), dtype=float, count=len(points))
     else:
         raw = np.fromiter((objective(p) for p in points), dtype=float, count=len(points))
     nan_mask = np.isnan(raw)
@@ -162,8 +165,8 @@ def evaluate_population(points: np.ndarray, objective, parallel: bool = False) -
     The objective must be pure. NaN results are mapped to +inf so pathological
     regions lose every comparison instead of aborting the run.
     """
-    fitness, _ = _evaluate(points, objective, parallel)
-    return fitness
+    with ThreadPoolExecutor() if parallel else nullcontext() as pool:
+        return _evaluate(points, objective, pool)[0]
 
 
 def _strategy_at(config: OptimizerConfig, t: int) -> str:
@@ -188,8 +191,20 @@ def run(
     Raises
     ------
     PriorDegeneracy
-        If the belief covariance cannot be repaired to positive definite.
+        If the belief covariance, or the scale the conjugate update
+        produces, cannot be repaired to positive definite.
     """
+    # one pool per run: building one per iteration cost more than the evaluations
+    with ThreadPoolExecutor() if config.parallel_eval else nullcontext() as pool:
+        return _run(config, objective, callback, pool)
+
+
+def _run(
+    config: OptimizerConfig,
+    objective: Callable[[np.ndarray], float],
+    callback: Optional[Callable[[IterationObservation], None]],
+    pool: Optional[Executor],
+) -> RunResult:
     k = config.k
     d = config.dim
     state = init_prior(config.x0, config.sigma0, d)
@@ -198,22 +213,26 @@ def run(
     trace: list[IterationTrace] = []
     stop_reason: Optional[str] = None
     nan_evals = 0
+    belief_cov = expected_covariance(state)
 
     for t in range(1, config.max_iter + 1):
         mean = expected_mean(state)
-        belief_cov = expected_covariance(state)
         try:
-            cov = spd_repair(belief_cov, scaled_jitter_eps(belief_cov, _JITTER_EPS))
+            cov, chol = spd_repair(belief_cov, scaled_jitter_eps(belief_cov, _JITTER_EPS))
         except RepairFailed as exc:
             raise PriorDegeneracy(f"belief covariance degenerate at iteration {t}") from exc
-        points = sample_mvn(mean, cov, k, rng)
-        fitness, n_nan = _evaluate(points, objective, config.parallel_eval)
+        # the one factor of cov serves both the draw and the density weights
+        points = sample_mvn(mean, cov, k, rng, factor=chol)
+        fitness, n_nan = _evaluate(points, objective, pool)
         nan_evals += n_nan
-        densities = np.array([mvn_pdf(mean, cov, x) for x in points])
+        densities = mvn_pdf_batch(mean, chol, points)
         candidates = CandidateSet.from_evaluations(points, fitness, densities)
         summary = summarize(candidates, mean, cov, _strategy_at(config, t))
         state_before = state
-        state = posterior_update(state, summary)
+        try:
+            state = posterior_update(state, summary)
+        except InvariantViolation as exc:
+            raise PriorDegeneracy(f"belief scale degenerate at iteration {t}") from exc
 
         i_best = int(np.argmin(fitness))
         controller, decision = step_restart(controller, points[i_best], float(fitness[i_best]), cov)
@@ -233,7 +252,9 @@ def run(
                 if event == "none":
                     event = "dilate" if scale > 1.0 else "contract"
 
-        cov_norm = frobenius_norm(expected_covariance(state))
+        # the next iteration samples from this same expected covariance
+        belief_cov = expected_covariance(state)
+        cov_norm = frobenius_norm(belief_cov)
         trace.append(
             IterationTrace(
                 iter=t,

@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcmaes.errors import NonFiniteFitness, NonPositiveDensity
+from bcmaes.errors import NonFiniteFitness, NonPositiveDensity, RepairFailed
 from bcmaes.likelihood import (
     CandidateSet,
     compute_weights,
@@ -15,7 +15,7 @@ from bcmaes.likelihood import (
     strategy_two_mean,
     summarize,
 )
-from bcmaes.linalg import cholesky, mvn_pdf
+from bcmaes.linalg import cholesky, mvn_pdf, mvn_pdf_batch, scaled_jitter_eps, spd_repair
 
 from _util import make_spd
 
@@ -250,6 +250,45 @@ class TestCorrectedCovariance:
             if np.linalg.eigvalsh(0.5 * (raw + raw.T))[0] < 0:
                 repaired_some = True
         assert repaired_some  # the fixture really exercised the repair path
+
+    def test_jitter_failure_falls_back_to_cone_projection(self):
+        # the estimate comes out off-diagonal dominant: eigenvalues about
+        # -14.3 and 13.6 against diagonal entries below 1, so even the largest
+        # jitter (10x the largest diagonal entry) cannot repair it
+        points = [[-1.6, 7.9], [5.4, 2.7], [-8.4, 2.8]]
+        fitness = [0.4, 1.7, 0.2]
+        c = _candidates(points, fitness, np.exp([-7.0, -6.0, -19.0]))
+        prior_cov = 1e-8 * np.eye(2)
+        raw = _naive_corrected_cov(points, list(c.weights), fitness, prior_cov)
+        raw = 0.5 * (raw + raw.T)
+        with pytest.raises(RepairFailed):
+            spd_repair(raw, scaled_jitter_eps(raw))
+        out = corrected_covariance(rank_candidates(c), c, prior_cov)
+        assert np.array_equal(out, out.T)
+        cholesky(out)  # must not raise
+        floored = np.maximum(np.linalg.eigvalsh(raw), scaled_jitter_eps(prior_cov))
+        assert np.abs(np.linalg.eigvalsh(out) - floored).max() <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(3, 12),
+        data=st.data(),
+        log_scale=st.floats(-6.0, 6.0),
+        spread=st.floats(0.1, 5.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_factorizes_when_popsize_below_dim(self, d, data, log_scale, spread, seed):
+        # the k < d regime, with points drawn at up to 5x the prior's spread
+        k = data.draw(st.integers(2, d - 1), label="k")
+        rng = np.random.default_rng(seed)
+        prior_cov = make_spd(rng, d, 10.0**log_scale)
+        mean = rng.normal(size=d)
+        L = cholesky(prior_cov)
+        points = mean + spread * rng.normal(size=(k, d)) @ L.T
+        c = _candidates(points, rng.normal(size=k), mvn_pdf_batch(mean, L, points))
+        out = corrected_covariance(rank_candidates(c), c, prior_cov)
+        assert np.array_equal(out, out.T)
+        np.linalg.cholesky(out)  # must not raise
 
 
 class TestSummarize:

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from bcmaes.errors import NotPositiveDefinite, RepairFailed
-from bcmaes.linalg import cholesky, frobenius_norm, mvn_logpdf, mvn_pdf, sample_mvn, spd_repair
+from bcmaes.linalg import (
+    cholesky,
+    frobenius_norm,
+    mvn_logpdf,
+    mvn_pdf,
+    mvn_pdf_batch,
+    sample_mvn,
+    spd_repair,
+)
 from bcmaes.rng import RandomSource
 
 from _util import make_spd
@@ -47,17 +55,25 @@ class TestCholesky:
 class TestSpdRepair:
     def test_spd_unchanged(self):
         m = np.array([[2.0, 0.5], [0.5, 1.0]])
-        out = spd_repair(m, 1e-10)
+        out, L = spd_repair(m, 1e-10)
         assert np.array_equal(out, m)
+        assert np.array_equal(L, cholesky(m))
 
     def test_zero_matrix_first_escalation(self):
-        out = spd_repair(np.zeros((2, 2)), 1e-10)
+        out, L = spd_repair(np.zeros((2, 2)), 1e-10)
         assert np.array_equal(out, 1e-10 * np.eye(2))
+        assert np.array_equal(L, cholesky(out))
 
     def test_rank_deficient_repaired(self):
         m = np.array([[1.0, 1.0], [1.0, 1.0]])
-        out = spd_repair(m, 1e-10)
-        cholesky(out)  # must not raise
+        out, L = spd_repair(m, 1e-10)
+        assert np.array_equal(L, cholesky(out))
+
+    def test_attempt_zero_factors_input_itself(self):
+        m = make_spd(np.random.default_rng(3), 4)
+        out, L = spd_repair(m, 1e-10)
+        assert out is m
+        assert np.array_equal(L, np.linalg.cholesky(m))
 
     def test_repair_failed_after_escalations(self):
         m = np.diag([-1e30, 1.0])
@@ -92,6 +108,14 @@ class TestSampleMvn:
         assert np.all(mean_err < 0.02)
         emp_cov = np.cov(pts, rowvar=False)
         assert np.abs(emp_cov - np.eye(2)).max() < 5 * np.sqrt(2.0 / k)
+
+    @pytest.mark.parametrize("m", [np.array([[2.0, 0.3], [0.3, 1.0]]), np.ones((3, 3))])
+    def test_factor_from_repair_matches_factorization(self, m):
+        # the second case needs jitter, so the factor is that of the repaired matrix
+        cov, L = spd_repair(m, 1e-10)
+        mean = np.arange(m.shape[0], dtype=float)
+        with_factor = sample_mvn(mean, cov, 7, RandomSource(5), factor=L)
+        assert np.array_equal(with_factor, sample_mvn(mean, cov, 7, RandomSource(5)))
 
     def test_k_minimum(self):
         with pytest.raises(ValueError):
@@ -138,6 +162,22 @@ class TestMvnPdf:
         assert np.exp(mvn_logpdf(np.zeros(2), cov, x)) == pytest.approx(
             mvn_pdf(np.zeros(2), cov, x), rel=1e-14
         )
+
+
+class TestMvnPdfBatch:
+    @pytest.mark.parametrize("d", [2, 10, 40])
+    def test_bit_equal_to_per_point_density(self, d):
+        rng = np.random.default_rng(d)
+        for scale in (1e-6, 1.0, 1e4):
+            cov = make_spd(rng, d, scale)
+            mean = rng.normal(size=d)
+            points = sample_mvn(mean, cov, 15, RandomSource(d))
+            batch = mvn_pdf_batch(mean, cholesky(cov), points)
+            assert np.array_equal(batch, [mvn_pdf(mean, cov, x) for x in points])
+
+    def test_non_finite_points_rejected(self):
+        with pytest.raises(ValueError):
+            mvn_pdf_batch(np.zeros(2), np.eye(2), np.array([[0.0, 0.0], [np.nan, 1.0]]))
 
 
 def test_frobenius_norm():

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from bcmaes.benchmarks import cone
+from bcmaes import optimizer
+from bcmaes.benchmarks import cone, registry_lookup
+from bcmaes.errors import InvariantViolation, PriorDegeneracy
 from bcmaes.niw import expected_covariance, expected_mean
 from bcmaes.optimizer import (
     STOP_CONTROLLER,
@@ -243,6 +245,14 @@ class TestStops:
         allowed = {"none", "dilate", "contract", "restart", "terminate-signal"}
         assert {t.event for t in result.trace} <= allowed
 
+    def test_unrepairable_update_raises_prior_degeneracy(self, monkeypatch):
+        def broken_update(p, s):
+            raise InvariantViolation("updated psi is not repairable to SPD")
+
+        monkeypatch.setattr(optimizer, "posterior_update", broken_update)
+        with pytest.raises(PriorDegeneracy):
+            run(_cone_config(max_iter=5), cone)
+
 
 class TestOtherDimensions:
     def test_one_dimensional_run(self):
@@ -251,6 +261,16 @@ class TestOtherDimensions:
         result = run(cfg, cone)
         assert result.f_best < 0.1
         assert result.n_evals == 4 * result.iterations
+
+    @pytest.mark.parametrize("seed", [3, 5])
+    def test_dim40_popsize_below_dim_finishes(self, seed):
+        # the jitter ladder fails in the covariance correction of both runs,
+        # so they finish only through the cone projection
+        spec = registry_lookup("cone", 40)
+        cfg = OptimizerConfig(dim=40, x0=spec.default_x0, popsize=15, max_iter=300, seed=seed)
+        result = run(cfg, spec.fn)
+        assert result.stop_reason == STOP_MAX_ITER
+        assert result.f_best < spec.fn(spec.default_x0)
 
     def test_three_dimensional_run(self):
         cfg = OptimizerConfig(dim=3, x0=np.full(3, 10.0), seed=2, max_iter=400)
