@@ -1,20 +1,23 @@
 """Dense symmetric-matrix primitives, multivariate normal sampling and density.
 
 All matrices are dense row-major ``float64`` arrays; the intended regime is
-small dimension (experiments run at d = 2). Runs up to d ~ 100 finish at
-the default sigma0, including popsize < d: there the covariance estimate can
-be indefinite beyond what the jitter ladder of :func:`spd_repair` repairs,
-and the likelihood layer then projects it onto the positive-definite cone
-instead. (At d ~ 100 with a very large sigma0 the densities can still
-underflow to zero.)
+small dimension (experiments run at d = 2). Runs up to d ~ 100 finish,
+including popsize < d: there the covariance estimate can be indefinite
+beyond what the jitter ladder of :func:`spd_repair` repairs, and the
+likelihood layer then projects it onto the positive-definite cone instead.
+At d ~ 100 with a large sigma0 (1e3) every density of a population can
+underflow to zero; the optimizer then takes the weights from the
+log-densities of :func:`mvn_logpdf_batch` shifted by their maximum, which
+gives the same normalized weights.
 
 :func:`spd_repair` returns the Cholesky factor of the matrix it accepts, so
 one factorization per matrix serves both :func:`sample_mvn` and the batch
-density :func:`mvn_pdf_batch`.
+densities :func:`mvn_logpdf_batch` and :func:`mvn_pdf_batch`.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -24,6 +27,8 @@ from .errors import NotPositiveDefinite, RepairFailed
 from .rng import RandomSource
 
 _SYM_RTOL = 1e-12
+# jitter rungs eps * 10**p, p = 0 .. _RUNGS - 1, tried by spd_repair
+_RUNGS = 12
 
 _LOG_2PI = np.log(2.0 * np.pi)
 
@@ -33,10 +38,11 @@ def check_symmetric(m: np.ndarray, rtol: float = _SYM_RTOL) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    # the peak is NaN or inf exactly when some entry is, so one pass serves both checks
+    peak = float(np.abs(m).max())
+    if not math.isfinite(peak):
         raise ValueError("matrix entries must be finite")
-    scale = max(1.0, float(np.abs(m).max()))
-    if float(np.abs(m - m.T).max()) > rtol * scale:
+    if float(np.abs(m - m.T).max()) > rtol * max(1.0, peak):
         raise ValueError("matrix is not symmetric within tolerance")
     return m
 
@@ -61,15 +67,22 @@ def cholesky(m: np.ndarray) -> np.ndarray:
 def spd_repair(m: np.ndarray, eps: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     """Return ``(m + delta * I, L)`` with the smallest escalating jitter that factorizes.
 
-    ``delta`` is tried from ``{0, eps, 10*eps, ..., 1e11*eps}``; the first
-    value whose Cholesky succeeds wins, and ``L`` is the lower factor that
-    attempt computed. Attempt 0 factors ``m`` itself, so positive-definite
-    input is returned unchanged (the same array) with its own factor.
+    Attempt 0 factors ``m`` itself, so positive-definite input is returned
+    unchanged (the same array) with its own factor. Otherwise ``delta`` is the
+    smallest rung of ``{eps, 10*eps, ..., 1e11*eps}`` whose Cholesky succeeds,
+    and ``L`` is the lower factor that attempt computed.
+
+    The rung is found by bisection, not by climbing the ladder. That relies on
+    monotonicity: if ``m + delta * I`` factorizes, so does ``m + delta' * I``
+    for every ``delta' > delta``, since adding a positive multiple of the
+    identity raises every eigenvalue. Each candidate is the same expression the
+    sequential ladder would form, so the result is the same bits, and a call
+    makes at most 5 factorization attempts (attempt 0 plus ceil(log2 13)).
 
     Raises
     ------
     RepairFailed
-        After 12 escalations, signalling an irrecoverably broken matrix.
+        When no rung factorizes, signalling an irrecoverably broken matrix.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -79,13 +92,21 @@ def spd_repair(m: np.ndarray, eps: float = 1e-10) -> tuple[np.ndarray, np.ndarra
     except np.linalg.LinAlgError:
         pass
     eye = np.eye(m.shape[0])
-    for power in range(12):
+    # invariant: every rung below lo fails; rung hi succeeds (hi == _RUNGS: none found yet)
+    lo, hi = 0, _RUNGS
+    found = None
+    while lo < hi:
+        power = (lo + hi) // 2
         repaired = m + eps * 10.0**power * eye
         try:
-            return repaired, np.linalg.cholesky(repaired)
+            found = repaired, np.linalg.cholesky(repaired)
+            hi = power
         except np.linalg.LinAlgError:
-            continue
-    raise RepairFailed(f"matrix not positive definite after 12 jitter escalations (eps={eps})")
+            lo = power + 1
+    if found is None:
+        raise RepairFailed(
+            f"matrix not positive definite at any of {_RUNGS} jitter rungs (eps={eps})")
+    return found
 
 
 def scaled_jitter_eps(m: np.ndarray, base: float = 1e-10) -> float:
@@ -96,7 +117,7 @@ def scaled_jitter_eps(m: np.ndarray, base: float = 1e-10) -> float:
     call sites scale it by the largest diagonal magnitude.
     """
     m = np.asarray(m, dtype=float)
-    scale = float(np.abs(np.diag(m)).max()) if m.size else 1.0
+    scale = float(np.abs(m.diagonal()).max()) if m.size else 1.0
     return base * max(1.0, scale)
 
 
@@ -132,7 +153,7 @@ def sample_mvn(
     return mean + z @ L.T
 
 
-def _logpdf_rows(mean: np.ndarray, factor: np.ndarray, points: np.ndarray) -> np.ndarray:
+def mvn_logpdf_batch(mean: np.ndarray, factor: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Log-density of N(mean, L L^T) at each row of ``points``, from the lower factor ``L``.
 
     Each row takes one LAPACK ``dtrtrs`` call on the Fortran-ordered view
@@ -140,11 +161,16 @@ def _logpdf_rows(mean: np.ndarray, factor: np.ndarray, points: np.ndarray) -> np
     C-ordered ``L``, so every value keeps the bits of a per-point solve. A
     single batched solve sums in another order and does not.
     """
-    dev = np.asarray(points, dtype=float) - mean
+    mean = np.asarray(mean, dtype=float)
+    points = np.asarray(points, dtype=float)
+    d = mean.shape[0]
+    if points.shape[-1] != d:
+        raise ValueError(f"points must have length {d}, got shape {points.shape}")
+    dev = points - mean
     if not np.all(np.isfinite(dev)):
         raise ValueError("points and mean must be finite")
     upper = factor.T
-    c = -0.5 * mean.shape[0] * _LOG_2PI - np.sum(np.log(np.diag(factor)))
+    c = -0.5 * d * _LOG_2PI - np.sum(np.log(np.diag(factor)))
     out = np.empty(dev.shape[0])
     for i, row in enumerate(dev):
         y, info = dtrtrs(upper, row, lower=0, trans=1)
@@ -160,14 +186,13 @@ def mvn_pdf_batch(mean: np.ndarray, factor: np.ndarray, points: np.ndarray) -> n
     Equal, bit for bit, to ``[mvn_pdf(mean, cov, x) for x in points]`` when
     ``L`` is the Cholesky factor of ``cov``.
     """
-    return np.exp(_logpdf_rows(np.asarray(mean, dtype=float), factor, points))
+    return np.exp(mvn_logpdf_batch(mean, factor, points))
 
 
 def mvn_logpdf(mean: np.ndarray, cov: np.ndarray, x: np.ndarray) -> float:
     """Log-density of N(mean, cov) at ``x``, via one triangular solve."""
-    mean = np.asarray(mean, dtype=float)
     x = np.asarray(x, dtype=float)
-    return float(_logpdf_rows(mean, cholesky(cov), x[None, :])[0])
+    return float(mvn_logpdf_batch(mean, cholesky(cov), x[None, :])[0])
 
 
 def mvn_pdf(mean: np.ndarray, cov: np.ndarray, x: np.ndarray) -> float:

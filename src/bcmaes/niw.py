@@ -118,10 +118,19 @@ class SummaryStats:
             raise InvariantViolation("mu_bar/sigma_bar shapes are inconsistent")
         if self.n_obs < 1:
             raise InvariantViolation(f"n_obs must be >= 1, got {self.n_obs}")
-        eigs = np.linalg.eigvalsh(sigma_bar)
-        scale = max(1.0, float(abs(eigs[-1])))
-        if eigs[0] < -_PSD_TOL * scale:
-            raise InvariantViolation("sigma_bar is not positive semi-definite within tolerance")
+        # A Cholesky that succeeds certifies the matrix at a fraction of the
+        # eigendecomposition's cost: it bounds the smallest eigenvalue below by
+        # a small multiple of -d * 2**-53 * |sigma_bar|, far inside the
+        # tolerance. Singular and indefinite input still takes the tolerance
+        # test on the spectrum.
+        try:
+            np.linalg.cholesky(sigma_bar)
+        except np.linalg.LinAlgError:
+            eigs = np.linalg.eigvalsh(sigma_bar)
+            scale = max(1.0, float(abs(eigs[-1])))
+            if eigs[0] < -_PSD_TOL * scale:
+                raise InvariantViolation(
+                    "sigma_bar is not positive semi-definite within tolerance") from None
         object.__setattr__(self, "mu_bar", mu_bar)
         object.__setattr__(self, "sigma_bar", sigma_bar)
         object.__setattr__(self, "n_obs", int(self.n_obs))

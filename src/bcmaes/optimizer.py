@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InvariantViolation, PriorDegeneracy, RepairFailed
 from .likelihood import STRATEGIES, CandidateSet, summarize
-from .linalg import frobenius_norm, mvn_pdf_batch, sample_mvn, scaled_jitter_eps, spd_repair
+from .linalg import frobenius_norm, mvn_logpdf_batch, sample_mvn, scaled_jitter_eps, spd_repair
 from .niw import NiwParams, expected_covariance, expected_mean, posterior_update
 from .restart import (
     DEFAULT_FACTORS,
@@ -225,7 +225,12 @@ def _run(
         points = sample_mvn(mean, cov, k, rng, factor=chol)
         fitness, n_nan = _evaluate(points, objective, pool)
         nan_evals += n_nan
-        densities = mvn_pdf_batch(mean, chol, points)
+        logp = mvn_logpdf_batch(mean, chol, points)
+        densities = np.exp(logp)
+        if not np.all(densities > 0):
+            # at high d and large sigma0 the densities underflow; the weights
+            # depend only on their ratios, so shift the log-densities by their maximum
+            densities = np.exp(logp - logp.max())
         candidates = CandidateSet.from_evaluations(points, fitness, densities)
         summary = summarize(candidates, mean, cov, _strategy_at(config, t))
         state_before = state

@@ -1,10 +1,15 @@
 """Matrix primitives, sampling, and density evaluation."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bcmaes.errors import NotPositiveDefinite, RepairFailed
 from bcmaes.linalg import (
+    check_symmetric,
     cholesky,
     frobenius_norm,
     mvn_logpdf,
@@ -50,6 +55,112 @@ class TestCholesky:
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
             cholesky(np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+
+def sequential_spd_repair(m: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """The jitter ladder climbed one rung at a time: the reference for the bisection."""
+    m = check_symmetric(m)
+    try:
+        return m, np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        pass
+    eye = np.eye(m.shape[0])
+    for power in range(12):
+        repaired = m + eps * 10.0**power * eye
+        try:
+            return repaired, np.linalg.cholesky(repaired)
+        except np.linalg.LinAlgError:
+            continue
+    raise RepairFailed("no rung factorizes")
+
+
+def _with_spectrum(eigvals, seed: int) -> np.ndarray:
+    """Symmetric matrix with (about) the given eigenvalues in a random basis."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(len(eigvals), len(eigvals))))
+    m = (q * np.asarray(eigvals, dtype=float)) @ q.T
+    return 0.5 * (m + m.T)
+
+
+def _repair_counting_attempts(m: np.ndarray, eps: float):
+    """``spd_repair(m, eps)`` and the number of Cholesky attempts it made."""
+    with mock.patch.object(np.linalg, "cholesky", wraps=np.linalg.cholesky) as chol:
+        try:
+            result = spd_repair(m, eps)
+        except RepairFailed as exc:
+            result = exc
+    return result, chol.call_count
+
+
+def _assert_matches_ladder(m: np.ndarray, eps: float) -> None:
+    try:
+        expected = sequential_spd_repair(m, eps)
+    except RepairFailed as exc:
+        expected = exc
+    got, attempts = _repair_counting_attempts(m, eps)
+    assert attempts <= 5
+    if isinstance(expected, RepairFailed):
+        assert isinstance(got, RepairFailed)
+    else:
+        assert not isinstance(got, RepairFailed)
+        assert np.array_equal(got[0], expected[0])
+        assert np.array_equal(got[1], expected[1])
+
+
+class TestSpdRepairBisection:
+    @pytest.mark.parametrize("rung", range(12))
+    def test_each_rung_is_found(self, rung):
+        # lambda_min = -eps * 10**rung / 2: rung `rung` is the first to lift it above zero
+        eps = 1e-10
+        m = _with_spectrum([-0.5 * eps * 10.0**rung, 1.0, 2.0, 5.0], seed=rung)
+        assert np.array_equal(spd_repair(m, eps)[0], m + eps * 10.0**rung * np.eye(4))
+        _assert_matches_ladder(m, eps)
+
+    def test_all_rungs_fail(self):
+        m = _with_spectrum([-1e3, 1.0, 2.0], seed=0)
+        with pytest.raises(RepairFailed):
+            spd_repair(m, 1e-10)
+        _assert_matches_ladder(m, 1e-10)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        d=st.integers(min_value=1, max_value=8),
+        log_neg=st.floats(min_value=-13.0, max_value=4.0),
+        positive=st.booleans(),
+        scale=st.sampled_from([1e-6, 1.0, 1e4]),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_bisection_matches_sequential_ladder(self, d, log_neg, positive, scale, seed):
+        # lambda_min spans 10**-13 .. 10**4 times the jitter base, so every rung,
+        # attempt 0 (positive) and the all-rungs-fail case are all drawn
+        eps = 1e-10 * scale
+        rng = np.random.default_rng(seed)
+        lam_min = (1.0 if positive else -1.0) * eps * 10.0**log_neg
+        eigvals = np.concatenate([[lam_min], scale * rng.uniform(0.1, 10.0, size=d - 1)])
+        _assert_matches_ladder(_with_spectrum(eigvals, seed), eps)
+
+
+class TestCheckSymmetric:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        m = np.eye(3)
+        m[1, 2] = bad
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            check_symmetric(m)
+
+    def test_asymmetric_rejected(self):
+        m = np.array([[1.0, 0.5], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="^matrix is not symmetric within tolerance$"):
+            check_symmetric(m)
+
+    def test_tolerance_scales_with_peak_entry(self):
+        m = np.array([[1e6, 1.0], [1.0 + 1e-7, 1e6]])
+        assert check_symmetric(m) is m
+        with pytest.raises(ValueError, match="not symmetric"):
+            check_symmetric(np.array([[1.0, 1.0], [1.0 + 1e-7, 1.0]]))
+
+    def test_not_square_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            check_symmetric(np.zeros((2, 3)))
 
 
 class TestSpdRepair:
@@ -178,6 +289,21 @@ class TestMvnPdfBatch:
     def test_non_finite_points_rejected(self):
         with pytest.raises(ValueError):
             mvn_pdf_batch(np.zeros(2), np.eye(2), np.array([[0.0, 0.0], [np.nan, 1.0]]))
+
+
+class TestWrongLengthPoint:
+    # a length-1 point used to broadcast against a d-vector mean
+    def test_mvn_pdf(self):
+        with pytest.raises(ValueError, match="length 2"):
+            mvn_pdf(np.zeros(2), np.eye(2), np.array([1.0]))
+
+    def test_mvn_logpdf(self):
+        with pytest.raises(ValueError, match="length 2"):
+            mvn_logpdf(np.zeros(2), np.eye(2), np.array([1.0, 2.0, 3.0]))
+
+    def test_batch(self):
+        with pytest.raises(ValueError, match="length 3"):
+            mvn_pdf_batch(np.zeros(3), np.eye(3), np.ones((4, 1)))
 
 
 def test_frobenius_norm():

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bcmaes.errors import DegreesOfFreedomTooLow, InvariantViolation
@@ -19,6 +19,9 @@ from bcmaes.niw import (
 )
 
 from _util import make_spd, rel_err
+
+# the tolerance of SummaryStats' positive semi-definiteness check
+_PSD_TOL = 1e-10
 
 
 def _random_niw(rng: np.random.Generator, d: int) -> NiwParams:
@@ -258,6 +261,38 @@ class TestValidationAndJson:
     def test_summary_rejects_indefinite_scatter(self):
         with pytest.raises(InvariantViolation):
             SummaryStats(mu_bar=np.zeros(2), sigma_bar=np.diag([1.0, -1.0]), n_obs=3)
+
+    def test_summary_accepts_singular_psd_scatter(self):
+        for sigma_bar in (np.zeros((3, 3)), np.ones((2, 2)), np.diag([2.0, 0.0])):
+            SummaryStats(mu_bar=np.zeros(len(sigma_bar)), sigma_bar=sigma_bar, n_obs=3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        d=st.integers(min_value=1, max_value=8),
+        # lambda_min relative to the tolerance -1e-10 * scale: well below, just
+        # below, just above, zero (singular PSD) and clearly positive
+        rel=st.sampled_from([-100.0, -1.5, -1.01, -0.99, -0.5, 0.0, 0.5, 1e6]),
+        log_scale=st.floats(min_value=-3.0, max_value=6.0),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_summary_check_agrees_with_spectrum_criterion(self, d, rel, log_scale, seed):
+        rng = np.random.default_rng(seed)
+        top = 10.0**log_scale
+        eigvals = np.concatenate([[rel * _PSD_TOL * max(1.0, top)],
+                                  rng.uniform(0.0, top, size=d - 1)])
+        if d > 1:
+            eigvals[-1] = top
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        sigma_bar = (q * eigvals) @ q.T
+        sigma_bar = 0.5 * (sigma_bar + sigma_bar.T)
+        eigs = np.linalg.eigvalsh(sigma_bar)
+        expected = eigs[0] >= -_PSD_TOL * max(1.0, float(abs(eigs[-1])))
+        try:
+            SummaryStats(mu_bar=np.zeros(d), sigma_bar=sigma_bar, n_obs=3)
+            accepted = True
+        except InvariantViolation:
+            accepted = False
+        assert accepted == expected
 
     def test_json_round_trip(self):
         rng = np.random.default_rng(17)

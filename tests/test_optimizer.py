@@ -6,6 +6,7 @@ import pytest
 from bcmaes import optimizer
 from bcmaes.benchmarks import cone, registry_lookup
 from bcmaes.errors import InvariantViolation, PriorDegeneracy
+from bcmaes.linalg import cholesky, mvn_pdf_batch
 from bcmaes.niw import expected_covariance, expected_mean
 from bcmaes.optimizer import (
     STOP_CONTROLLER,
@@ -271,6 +272,20 @@ class TestOtherDimensions:
         result = run(cfg, spec.fn)
         assert result.stop_reason == STOP_MAX_ITER
         assert result.f_best < spec.fn(spec.default_x0)
+
+    def test_dim100_large_sigma0_finishes(self):
+        # at sigma0 = 1e3 every density of the first population underflows to
+        # zero, so the weights come from the shifted log-densities
+        spec = registry_lookup("cone", 100)
+        cfg = OptimizerConfig(dim=100, x0=spec.default_x0, sigma0=1e3, max_iter=10, seed=1)
+        seen = []
+        result = run(cfg, spec.fn, callback=seen.append)
+        first = seen[0]
+        assert not np.any(mvn_pdf_batch(first.sampled_mean, cholesky(first.sampled_cov),
+                                        first.points))
+        assert result.stop_reason == STOP_MAX_ITER
+        assert result.iterations == 10
+        assert np.isfinite(result.f_best)
 
     def test_three_dimensional_run(self):
         cfg = OptimizerConfig(dim=3, x0=np.full(3, 10.0), seed=2, max_iter=400)
