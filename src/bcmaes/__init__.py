@@ -30,24 +30,13 @@ from .likelihood import (
     strategy_two_mean,
     summarize,
 )
-from .linalg import cholesky, mvn_logpdf, mvn_pdf, mvn_pdf_batch, sample_mvn, spd_repair
-from .niw import (
-    NigParams,
-    NiwParams,
-    SummaryStats,
-    expected_covariance,
-    expected_mean,
-    nig_posterior,
-    posterior_update,
-    posterior_update_raw,
-    weighted_update_expectations,
-)
+from .linalg import sample_mvn, spd_repair
+from .niw import NiwParams, SummaryStats, expected_covariance, expected_mean, posterior_update
 from .optimizer import (
     IterationTrace,
     OptimizerConfig,
     RunResult,
     default_popsize,
-    evaluate_population,
     init_prior,
     run,
 )
@@ -73,7 +62,6 @@ __all__ = [
     "InvalidLevels",
     "InvariantViolation",
     "IterationTrace",
-    "NigParams",
     "NiwParams",
     "NonFiniteFitness",
     "NonPositiveDensity",
@@ -89,22 +77,15 @@ __all__ = [
     "SchemaError",
     "SummaryStats",
     "UnknownFunction",
-    "cholesky",
     "compute_weights",
     "cone",
     "corrected_covariance",
     "default_popsize",
-    "evaluate_population",
     "expected_covariance",
     "expected_mean",
     "init_prior",
     "init_restart",
-    "mvn_logpdf",
-    "mvn_pdf",
-    "mvn_pdf_batch",
-    "nig_posterior",
     "posterior_update",
-    "posterior_update_raw",
     "rank_candidates",
     "rastrigin",
     "registry_lookup",
@@ -117,5 +98,4 @@ __all__ = [
     "strategy_one_mean",
     "strategy_two_mean",
     "summarize",
-    "weighted_update_expectations",
 ]

@@ -22,7 +22,10 @@ def cone(x) -> float:
 def schwefel2(x) -> float:
     """Sum of absolute coordinates plus their product; piecewise linear, non-convex."""
     a = np.abs(np.asarray(x, dtype=float))
-    return float(a.sum() + a.prod())
+    # far from the origin in high dimension the product exceeds the float
+    # range; the value is inf either way, so the overflow is not reported
+    with np.errstate(over="ignore"):
+        return float(a.sum() + a.prod())
 
 
 def rastrigin(x) -> float:

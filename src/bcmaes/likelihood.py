@@ -160,7 +160,7 @@ def corrected_covariance(
     out = a - (b - prior_cov)
     out = 0.5 * (out + out.T)
     try:
-        return spd_repair(out, scaled_jitter_eps(out))[0]
+        return spd_repair(out)[0]
     except RepairFailed:
         # With k < d the two rank-(k-1) scatters can leave an indefinite part
         # at the scale of prior_cov itself, beyond the jitter ladder: project

@@ -10,15 +10,16 @@ underflow to zero; the optimizer then takes the weights from the
 log-densities of :func:`mvn_logpdf_batch` shifted by their maximum, which
 gives the same normalized weights.
 
-:func:`spd_repair` returns the Cholesky factor of the matrix it accepts, so
-one factorization per matrix serves both :func:`sample_mvn` and the batch
-densities :func:`mvn_logpdf_batch` and :func:`mvn_pdf_batch`.
+:func:`spd_repair` owns the jitter policy: it decides whether a matrix
+factors as it is and, if not, how much jitter makes it factor. It returns
+the Cholesky factor of the matrix it accepts, and that factor is all
+:func:`sample_mvn` and :func:`mvn_logpdf_batch` take, so one factorization
+per matrix serves both the draw and the densities.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
@@ -27,13 +28,15 @@ from .errors import NotPositiveDefinite, RepairFailed
 from .rng import RandomSource
 
 _SYM_RTOL = 1e-12
-# jitter rungs eps * 10**p, p = 0 .. _RUNGS - 1, tried by spd_repair
+# jitter rungs eps * 10**p, p = 0 .. _RUNGS - 1, tried by spd_repair,
+# with eps = _JITTER_BASE * max(1, max |diag m|)
+_JITTER_BASE = 1e-10
 _RUNGS = 12
 
 _LOG_2PI = np.log(2.0 * np.pi)
 
 
-def check_symmetric(m: np.ndarray, rtol: float = _SYM_RTOL) -> np.ndarray:
+def check_symmetric(m: np.ndarray) -> np.ndarray:
     """Validate that ``m`` is a finite symmetric square matrix and return it as float64."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -42,35 +45,19 @@ def check_symmetric(m: np.ndarray, rtol: float = _SYM_RTOL) -> np.ndarray:
     peak = float(np.abs(m).max())
     if not math.isfinite(peak):
         raise ValueError("matrix entries must be finite")
-    if float(np.abs(m - m.T).max()) > rtol * max(1.0, peak):
+    if float(np.abs(m - m.T).max()) > _SYM_RTOL * max(1.0, peak):
         raise ValueError("matrix is not symmetric within tolerance")
     return m
 
 
-def cholesky(m: np.ndarray) -> np.ndarray:
-    """Lower-triangular ``L`` with ``L @ L.T == m``.
-
-    Raises
-    ------
-    NotPositiveDefinite
-        If a pivot is nonpositive, i.e. ``m`` is not positive definite.
-        Callers that can tolerate near-degeneracy should go through
-        :func:`spd_repair`.
-    """
-    m = check_symmetric(m)
-    try:
-        return np.linalg.cholesky(m)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(str(exc)) from exc
-
-
-def spd_repair(m: np.ndarray, eps: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+def spd_repair(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Return ``(m + delta * I, L)`` with the smallest escalating jitter that factorizes.
 
     Attempt 0 factors ``m`` itself, so positive-definite input is returned
     unchanged (the same array) with its own factor. Otherwise ``delta`` is the
     smallest rung of ``{eps, 10*eps, ..., 1e11*eps}`` whose Cholesky succeeds,
-    and ``L`` is the lower factor that attempt computed.
+    with ``eps = scaled_jitter_eps(m)``, and ``L`` is the lower factor that
+    attempt computed.
 
     The rung is found by bisection, not by climbing the ladder. That relies on
     monotonicity: if ``m + delta * I`` factorizes, so does ``m + delta' * I``
@@ -84,13 +71,12 @@ def spd_repair(m: np.ndarray, eps: float = 1e-10) -> tuple[np.ndarray, np.ndarra
     RepairFailed
         When no rung factorizes, signalling an irrecoverably broken matrix.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     m = check_symmetric(m)
     try:
         return m, np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         pass
+    eps = scaled_jitter_eps(m)
     eye = np.eye(m.shape[0])
     # invariant: every rung below lo fails; rung hi succeeds (hi == _RUNGS: none found yet)
     lo, hi = 0, _RUNGS
@@ -109,38 +95,25 @@ def spd_repair(m: np.ndarray, eps: float = 1e-10) -> tuple[np.ndarray, np.ndarra
     return found
 
 
-def scaled_jitter_eps(m: np.ndarray, base: float = 1e-10) -> float:
+def scaled_jitter_eps(m: np.ndarray) -> float:
     """Jitter base proportional to the matrix magnitude.
 
     A fixed absolute base cannot repair indefinite matrices whose entries are
-    many orders of magnitude above 1 within the escalation budget, so repair
-    call sites scale it by the largest diagonal magnitude.
+    many orders of magnitude above 1 within the escalation budget, so the
+    base is scaled by the largest diagonal magnitude.
     """
     m = np.asarray(m, dtype=float)
     scale = float(np.abs(m.diagonal()).max()) if m.size else 1.0
-    return base * max(1.0, scale)
+    return _JITTER_BASE * max(1.0, scale)
 
 
-def sample_mvn(
-    mean: np.ndarray,
-    cov: np.ndarray,
-    k: int,
-    rng: RandomSource,
-    factor: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Draw ``k`` points from N(mean, cov), consuming exactly ``k * d`` normal variates.
+def sample_mvn(mean: np.ndarray, factor: np.ndarray, k: int, rng: RandomSource) -> np.ndarray:
+    """Draw ``k`` points from N(mean, L L^T), consuming exactly ``k * d`` normal variates.
 
-    The variate layout is row-major: point ``i`` uses variates
-    ``[i*d, (i+1)*d)`` of the stream, and ``x_i = mean + L z_i`` with ``L``
-    the lower Cholesky factor of ``cov``. A caller that already holds ``L``
-    (from :func:`spd_repair`) passes it as ``factor`` to skip the
-    factorization; the points are the same bits either way.
-
-    Raises
-    ------
-    NotPositiveDefinite
-        Propagated from the factorization; repair (if wanted) is the
-        caller's decision.
+    ``factor`` is the lower Cholesky factor ``L`` of the covariance, as
+    :func:`spd_repair` returns it. The variate layout is row-major: point
+    ``i`` uses variates ``[i*d, (i+1)*d)`` of the stream, and
+    ``x_i = mean + L z_i``.
     """
     mean = np.asarray(mean, dtype=float)
     if mean.ndim != 1:
@@ -148,9 +121,8 @@ def sample_mvn(
     if k < 2:
         raise ValueError("k must be at least 2")
     d = mean.shape[0]
-    L = cholesky(cov) if factor is None else factor
     z = rng.standard_normals(k * d).reshape(k, d)
-    return mean + z @ L.T
+    return mean + z @ factor.T
 
 
 def mvn_logpdf_batch(mean: np.ndarray, factor: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -178,26 +150,6 @@ def mvn_logpdf_batch(mean: np.ndarray, factor: np.ndarray, points: np.ndarray) -
             raise NotPositiveDefinite("the Cholesky factor is singular")
         out[i] = c - 0.5 * y @ y
     return out
-
-
-def mvn_pdf_batch(mean: np.ndarray, factor: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Densities of N(mean, L L^T) at each row of ``points``, from the lower factor ``L``.
-
-    Equal, bit for bit, to ``[mvn_pdf(mean, cov, x) for x in points]`` when
-    ``L`` is the Cholesky factor of ``cov``.
-    """
-    return np.exp(mvn_logpdf_batch(mean, factor, points))
-
-
-def mvn_logpdf(mean: np.ndarray, cov: np.ndarray, x: np.ndarray) -> float:
-    """Log-density of N(mean, cov) at ``x``, via one triangular solve."""
-    x = np.asarray(x, dtype=float)
-    return float(mvn_logpdf_batch(mean, cholesky(cov), x[None, :])[0])
-
-
-def mvn_pdf(mean: np.ndarray, cov: np.ndarray, x: np.ndarray) -> float:
-    """Density of N(mean, cov) at ``x``; strictly positive for SPD ``cov``."""
-    return float(np.exp(mvn_logpdf(mean, cov, x)))
 
 
 def frobenius_norm(m: np.ndarray) -> float:

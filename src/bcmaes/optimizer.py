@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InvariantViolation, PriorDegeneracy, RepairFailed
 from .likelihood import STRATEGIES, CandidateSet, summarize
-from .linalg import frobenius_norm, mvn_logpdf_batch, sample_mvn, scaled_jitter_eps, spd_repair
+from .linalg import frobenius_norm, mvn_logpdf_batch, sample_mvn, spd_repair
 from .niw import NiwParams, expected_covariance, expected_mean, posterior_update
 from .restart import (
     DEFAULT_FACTORS,
@@ -37,8 +37,6 @@ STOP_CONTROLLER = "ControllerTerminate"
 STOP_MAX_ITER = "MaxIter"
 STOP_VAR_NORM = "VarNormSmall"
 STOP_STALL = "StallTerminated"
-
-_JITTER_EPS = 1e-10
 
 
 def default_popsize(dim: int) -> int:
@@ -144,8 +142,10 @@ def init_prior(x0: np.ndarray, sigma0: float, dim: int) -> NiwParams:
 
 
 def _evaluate(points: np.ndarray, objective, pool: Optional[Executor]) -> tuple[np.ndarray, int]:
-    """Evaluate the population, on ``pool`` if given; NaN results map to +inf.
+    """Evaluate the population in order, on ``pool`` if given; NaN results map to +inf.
 
+    The objective must be pure, so the fitness is the same with and without
+    a pool. NaN results lose every comparison instead of aborting the run.
     Returns (fitness, nan count).
     """
     if pool is not None:
@@ -157,16 +157,6 @@ def _evaluate(points: np.ndarray, objective, pool: Optional[Executor]) -> tuple[
         raw = raw.copy()
         raw[nan_mask] = np.inf
     return raw, int(nan_mask.sum())
-
-
-def evaluate_population(points: np.ndarray, objective, parallel: bool = False) -> np.ndarray:
-    """Fitness of each point in order; identical for sequential and parallel modes.
-
-    The objective must be pure. NaN results are mapped to +inf so pathological
-    regions lose every comparison instead of aborting the run.
-    """
-    with ThreadPoolExecutor() if parallel else nullcontext() as pool:
-        return _evaluate(points, objective, pool)[0]
 
 
 def _strategy_at(config: OptimizerConfig, t: int) -> str:
@@ -191,8 +181,9 @@ def run(
     Raises
     ------
     PriorDegeneracy
-        If the belief covariance, or the scale the conjugate update
-        produces, cannot be repaired to positive definite.
+        If the belief covariance cannot be repaired to positive definite.
+        Its repair at the top of each iteration is also the one certificate
+        of the scale the previous conjugate update produced.
     """
     # one pool per run: building one per iteration cost more than the evaluations
     with ThreadPoolExecutor() if config.parallel_eval else nullcontext() as pool:
@@ -218,11 +209,11 @@ def _run(
     for t in range(1, config.max_iter + 1):
         mean = expected_mean(state)
         try:
-            cov, chol = spd_repair(belief_cov, scaled_jitter_eps(belief_cov, _JITTER_EPS))
+            cov, chol = spd_repair(belief_cov)
         except RepairFailed as exc:
             raise PriorDegeneracy(f"belief covariance degenerate at iteration {t}") from exc
         # the one factor of cov serves both the draw and the density weights
-        points = sample_mvn(mean, cov, k, rng, factor=chol)
+        points = sample_mvn(mean, chol, k, rng)
         fitness, n_nan = _evaluate(points, objective, pool)
         nan_evals += n_nan
         logp = mvn_logpdf_batch(mean, chol, points)

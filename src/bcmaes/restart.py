@@ -62,14 +62,12 @@ class RestartDecision:
 def init_restart(
     levels: tuple[int, int, int, int, int] = DEFAULT_LEVELS,
     factors: tuple[float, float, float, float] = DEFAULT_FACTORS,
-    f_init: Optional[float] = None,
 ) -> RestartState:
     """Fresh controller state: zero retrials and a max-float best record.
 
-    The best-fitness record starts at the largest finite float rather than at
-    ``f_init``, so the first evaluated candidate always registers and
-    ``x_min`` is guaranteed to be set from iteration one onward; ``f_init``
-    is accepted for interface completeness and not consulted.
+    The best-fitness record starts at the largest finite float, so the first
+    evaluated candidate always registers and ``x_min`` is guaranteed to be set
+    from iteration one onward.
 
     Raises
     ------

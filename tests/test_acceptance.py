@@ -17,22 +17,13 @@ from bcmaes.benchmarks import registry_lookup
 from bcmaes.cli import write_trace_csv
 from bcmaes.likelihood import CandidateSet, corrected_covariance, rank_candidates, strategy_one_mean
 from bcmaes.linalg import sample_mvn
-from bcmaes.niw import (
-    NigParams,
-    NiwParams,
-    SummaryStats,
-    expected_covariance,
-    expected_mean,
-    nig_posterior,
-    posterior_update,
-    posterior_update_raw,
-    weighted_update_expectations,
-)
+from bcmaes.niw import NiwParams, SummaryStats, expected_covariance, expected_mean, posterior_update
 from bcmaes.optimizer import OptimizerConfig, run
 from bcmaes.restart import TERMINATE, init_restart, step_restart
 from bcmaes.rng import RandomSource
 
 from _util import make_spd, rel_err
+from oracles import NigParams, nig_posterior, posterior_update_raw, weighted_update_expectations
 
 SEEDS = (4, 5, 7, 12, 13)
 

@@ -1,5 +1,7 @@
 """The four benchmark objectives and their registry."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -36,6 +38,12 @@ class TestSchwefel2:
 
     def test_even_in_each_coordinate(self):
         assert schwefel2([-1.0, -2.0]) == 5.0
+
+    def test_product_overflow_is_silent(self):
+        # at d = 100 the product of coordinates 1e5 exceeds the float range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert schwefel2(np.full(100, 1e5)) == np.inf
 
 
 class TestRastrigin:

@@ -15,9 +15,10 @@ from bcmaes.likelihood import (
     strategy_two_mean,
     summarize,
 )
-from bcmaes.linalg import cholesky, mvn_pdf, mvn_pdf_batch, scaled_jitter_eps, spd_repair
+from bcmaes.linalg import mvn_logpdf_batch, scaled_jitter_eps, spd_repair
 
 from _util import make_spd
+from oracles import mvn_pdf
 
 
 def _candidates(points, fitness, densities):
@@ -245,7 +246,7 @@ class TestCorrectedCovariance:
             c = _candidates(points, fitness, densities)
             prior_cov = 1e-8 * np.eye(2)
             out = corrected_covariance(rank_candidates(c), c, prior_cov)
-            cholesky(out)  # must not raise
+            np.linalg.cholesky(out)  # must not raise
             raw = _naive_corrected_cov(list(points), list(c.weights), list(fitness), prior_cov)
             if np.linalg.eigvalsh(0.5 * (raw + raw.T))[0] < 0:
                 repaired_some = True
@@ -262,10 +263,10 @@ class TestCorrectedCovariance:
         raw = _naive_corrected_cov(points, list(c.weights), fitness, prior_cov)
         raw = 0.5 * (raw + raw.T)
         with pytest.raises(RepairFailed):
-            spd_repair(raw, scaled_jitter_eps(raw))
+            spd_repair(raw)
         out = corrected_covariance(rank_candidates(c), c, prior_cov)
         assert np.array_equal(out, out.T)
-        cholesky(out)  # must not raise
+        np.linalg.cholesky(out)  # must not raise
         floored = np.maximum(np.linalg.eigvalsh(raw), scaled_jitter_eps(prior_cov))
         assert np.abs(np.linalg.eigvalsh(out) - floored).max() <= 1e-12
 
@@ -283,9 +284,9 @@ class TestCorrectedCovariance:
         rng = np.random.default_rng(seed)
         prior_cov = make_spd(rng, d, 10.0**log_scale)
         mean = rng.normal(size=d)
-        L = cholesky(prior_cov)
+        L = np.linalg.cholesky(prior_cov)
         points = mean + spread * rng.normal(size=(k, d)) @ L.T
-        c = _candidates(points, rng.normal(size=k), mvn_pdf_batch(mean, L, points))
+        c = _candidates(points, rng.normal(size=k), np.exp(mvn_logpdf_batch(mean, L, points)))
         out = corrected_covariance(rank_candidates(c), c, prior_cov)
         assert np.array_equal(out, out.T)
         np.linalg.cholesky(out)  # must not raise

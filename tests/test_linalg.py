@@ -10,30 +10,37 @@ from hypothesis import strategies as st
 from bcmaes.errors import NotPositiveDefinite, RepairFailed
 from bcmaes.linalg import (
     check_symmetric,
-    cholesky,
     frobenius_norm,
-    mvn_logpdf,
-    mvn_pdf,
-    mvn_pdf_batch,
+    mvn_logpdf_batch,
     sample_mvn,
+    scaled_jitter_eps,
     spd_repair,
 )
 from bcmaes.rng import RandomSource
 
 from _util import make_spd
+from oracles import mvn_pdf
+
+
+def _pdf(mean: np.ndarray, cov: np.ndarray, x: np.ndarray) -> float:
+    """The package's density of N(mean, cov) at one point ``x``."""
+    factor = np.linalg.cholesky(cov)
+    return float(np.exp(mvn_logpdf_batch(mean, factor, np.asarray(x, dtype=float)[None, :])[0]))
 
 
 class TestCholesky:
+    """The lower factor spd_repair returns, the package's one Cholesky factorization."""
+
     def test_identity(self):
-        assert np.array_equal(cholesky(np.eye(2)), np.eye(2))
+        assert np.array_equal(spd_repair(np.eye(2))[1], np.eye(2))
 
     def test_diagonal_square_roots(self):
-        L = cholesky(np.diag([4.0, 9.0]))
+        L = spd_repair(np.diag([4.0, 9.0]))[1]
         assert np.array_equal(L, np.diag([2.0, 3.0]))
 
     def test_reconstruction(self):
         m = np.array([[2.0, 1.0], [1.0, 2.0]])
-        L = cholesky(m)
+        L = spd_repair(m)[1]
         assert np.allclose(np.tril(L), L)
         assert np.abs(L @ L.T - m).max() <= 1e-10
 
@@ -42,19 +49,22 @@ class TestCholesky:
         for _ in range(50):
             d = int(rng.integers(1, 7))
             m = make_spd(rng, d)
-            L = cholesky(m)
+            L = spd_repair(m)[1]
             rel = np.linalg.norm(L @ L.T - m) / np.linalg.norm(m)
             assert rel <= 1e-10
 
     def test_not_positive_definite(self):
-        with pytest.raises(NotPositiveDefinite):
-            cholesky(np.zeros((2, 2)))
-        with pytest.raises(NotPositiveDefinite):
-            cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        # attempt 0 rejects both, so each comes back shifted by a jitter rung
+        for m in (np.zeros((2, 2)), np.array([[1.0, 2.0], [2.0, 1.0]])):
+            out, L = spd_repair(m)
+            shift = out - m
+            assert shift[0, 0] > 0
+            assert np.array_equal(shift, shift[0, 0] * np.eye(2))
+            assert np.array_equal(L, np.linalg.cholesky(out))
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
-            cholesky(np.array([[1.0, 0.5], [0.0, 1.0]]))
+            spd_repair(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
 def sequential_spd_repair(m: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
@@ -81,22 +91,34 @@ def _with_spectrum(eigvals, seed: int) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def _repair_counting_attempts(m: np.ndarray, eps: float):
-    """``spd_repair(m, eps)`` and the number of Cholesky attempts it made."""
+def _with_negative_eigenvalue(neg: float, seed: int) -> np.ndarray:
+    """Matrix with eigenvalues -neg, 2 + neg, 2 and 5 in a random coordinate order.
+
+    Its diagonal is a permutation of [1, 1, 2, 5] whatever ``neg``, so its
+    jitter base ``scaled_jitter_eps`` does not depend on ``neg``.
+    """
+    m = np.diag([1.0, 1.0, 2.0, 5.0])
+    m[0, 1] = m[1, 0] = 1.0 + neg
+    perm = np.random.default_rng(seed).permutation(4)
+    return m[np.ix_(perm, perm)]
+
+
+def _repair_counting_attempts(m: np.ndarray):
+    """``spd_repair(m)`` and the number of Cholesky attempts it made."""
     with mock.patch.object(np.linalg, "cholesky", wraps=np.linalg.cholesky) as chol:
         try:
-            result = spd_repair(m, eps)
+            result = spd_repair(m)
         except RepairFailed as exc:
             result = exc
     return result, chol.call_count
 
 
-def _assert_matches_ladder(m: np.ndarray, eps: float) -> None:
+def _assert_matches_ladder(m: np.ndarray) -> None:
     try:
-        expected = sequential_spd_repair(m, eps)
+        expected = sequential_spd_repair(m, scaled_jitter_eps(m))
     except RepairFailed as exc:
         expected = exc
-    got, attempts = _repair_counting_attempts(m, eps)
+    got, attempts = _repair_counting_attempts(m)
     assert attempts <= 5
     if isinstance(expected, RepairFailed):
         assert isinstance(got, RepairFailed)
@@ -110,16 +132,18 @@ class TestSpdRepairBisection:
     @pytest.mark.parametrize("rung", range(12))
     def test_each_rung_is_found(self, rung):
         # lambda_min = -eps * 10**rung / 2: rung `rung` is the first to lift it above zero
-        eps = 1e-10
-        m = _with_spectrum([-0.5 * eps * 10.0**rung, 1.0, 2.0, 5.0], seed=rung)
-        assert np.array_equal(spd_repair(m, eps)[0], m + eps * 10.0**rung * np.eye(4))
-        _assert_matches_ladder(m, eps)
+        eps = scaled_jitter_eps(_with_negative_eigenvalue(0.0, seed=rung))
+        m = _with_negative_eigenvalue(0.5 * eps * 10.0**rung, seed=rung)
+        assert scaled_jitter_eps(m) == eps
+        assert np.array_equal(spd_repair(m)[0], m + eps * 10.0**rung * np.eye(4))
+        _assert_matches_ladder(m)
 
     def test_all_rungs_fail(self):
-        m = _with_spectrum([-1e3, 1.0, 2.0], seed=0)
+        # lambda_min = -1e3, beyond the largest jitter, 10 x the largest diagonal entry
+        m = _with_negative_eigenvalue(1e3, seed=0)
         with pytest.raises(RepairFailed):
-            spd_repair(m, 1e-10)
-        _assert_matches_ladder(m, 1e-10)
+            spd_repair(m)
+        _assert_matches_ladder(m)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -130,13 +154,14 @@ class TestSpdRepairBisection:
         seed=st.integers(min_value=0, max_value=2**16),
     )
     def test_bisection_matches_sequential_ladder(self, d, log_neg, positive, scale, seed):
-        # lambda_min spans 10**-13 .. 10**4 times the jitter base, so every rung,
-        # attempt 0 (positive) and the all-rungs-fail case are all drawn
-        eps = 1e-10 * scale
+        # lambda_min spans 10**-13 .. 10**4 times about the jitter base, so
+        # attempt 0 (positive) and the lower rungs are drawn; the cases above
+        # pin every rung and the all-rungs-fail case
+        base = 1e-10 * max(1.0, scale)
         rng = np.random.default_rng(seed)
-        lam_min = (1.0 if positive else -1.0) * eps * 10.0**log_neg
+        lam_min = (1.0 if positive else -1.0) * base * 10.0**log_neg
         eigvals = np.concatenate([[lam_min], scale * rng.uniform(0.1, 10.0, size=d - 1)])
-        _assert_matches_ladder(_with_spectrum(eigvals, seed), eps)
+        _assert_matches_ladder(_with_spectrum(eigvals, seed))
 
 
 class TestCheckSymmetric:
@@ -166,30 +191,40 @@ class TestCheckSymmetric:
 class TestSpdRepair:
     def test_spd_unchanged(self):
         m = np.array([[2.0, 0.5], [0.5, 1.0]])
-        out, L = spd_repair(m, 1e-10)
+        out, L = spd_repair(m)
         assert np.array_equal(out, m)
-        assert np.array_equal(L, cholesky(m))
+        assert np.array_equal(L, np.linalg.cholesky(m))
 
     def test_zero_matrix_first_escalation(self):
-        out, L = spd_repair(np.zeros((2, 2)), 1e-10)
+        out, L = spd_repair(np.zeros((2, 2)))
         assert np.array_equal(out, 1e-10 * np.eye(2))
-        assert np.array_equal(L, cholesky(out))
+        assert np.array_equal(L, np.linalg.cholesky(out))
 
     def test_rank_deficient_repaired(self):
         m = np.array([[1.0, 1.0], [1.0, 1.0]])
-        out, L = spd_repair(m, 1e-10)
-        assert np.array_equal(L, cholesky(out))
+        out, L = spd_repair(m)
+        assert np.array_equal(L, np.linalg.cholesky(out))
+
+    def test_jitter_base_scales_with_diagonal(self):
+        # a scaled copy of a rank-deficient matrix is repaired at the same rung
+        m = np.array([[1.0, 1.0], [1.0, 1.0]])
+        for s in (1.0, 1e6):
+            out, _ = spd_repair(s * m)
+            assert np.array_equal(out, s * m + 1e-10 * s * np.eye(2))
 
     def test_attempt_zero_factors_input_itself(self):
         m = make_spd(np.random.default_rng(3), 4)
-        out, L = spd_repair(m, 1e-10)
+        out, L = spd_repair(m)
         assert out is m
         assert np.array_equal(L, np.linalg.cholesky(m))
 
     def test_repair_failed_after_escalations(self):
-        m = np.diag([-1e30, 1.0])
+        # off-diagonal dominant: eigenvalues -999 and 1001 against a unit
+        # diagonal. A diagonal matrix such as diag(-1e30, 1) is always
+        # repairable, since the largest jitter is 10 x the largest diagonal entry.
+        m = np.array([[1.0, 1e3], [1e3, 1.0]])
         with pytest.raises(RepairFailed):
-            spd_repair(m, 1e-10)
+            spd_repair(m)
 
 
 class TestSampleMvn:
@@ -198,18 +233,14 @@ class TestSampleMvn:
         b = sample_mvn(np.zeros(2), np.eye(2), 3, RandomSource(42))
         assert np.array_equal(a, b)
 
-    def test_zero_cov_rejected(self):
-        with pytest.raises(NotPositiveDefinite):
-            sample_mvn(np.zeros(2), np.zeros((2, 2)), 5, RandomSource(0))
-
     def test_variate_order_documented(self):
         # point i is mean + L @ z[i], with z filled row-major from the stream
         mean = np.array([1.0, -2.0])
-        cov = np.array([[2.0, 0.3], [0.3, 1.0]])
+        L = np.linalg.cholesky(np.array([[2.0, 0.3], [0.3, 1.0]]))
         k = 5
-        pts = sample_mvn(mean, cov, k, RandomSource(11))
+        pts = sample_mvn(mean, L, k, RandomSource(11))
         z = RandomSource(11).standard_normals(k * 2).reshape(k, 2)
-        manual = mean + z @ cholesky(cov).T
+        manual = mean + z @ L.T
         assert np.array_equal(pts, manual)
 
     def test_sample_moments(self):
@@ -220,14 +251,6 @@ class TestSampleMvn:
         emp_cov = np.cov(pts, rowvar=False)
         assert np.abs(emp_cov - np.eye(2)).max() < 5 * np.sqrt(2.0 / k)
 
-    @pytest.mark.parametrize("m", [np.array([[2.0, 0.3], [0.3, 1.0]]), np.ones((3, 3))])
-    def test_factor_from_repair_matches_factorization(self, m):
-        # the second case needs jitter, so the factor is that of the repaired matrix
-        cov, L = spd_repair(m, 1e-10)
-        mean = np.arange(m.shape[0], dtype=float)
-        with_factor = sample_mvn(mean, cov, 7, RandomSource(5), factor=L)
-        assert np.array_equal(with_factor, sample_mvn(mean, cov, 7, RandomSource(5)))
-
     def test_k_minimum(self):
         with pytest.raises(ValueError):
             sample_mvn(np.zeros(2), np.eye(2), 1, RandomSource(0))
@@ -235,16 +258,16 @@ class TestSampleMvn:
 
 class TestMvnPdf:
     def test_standard_normal_at_mode(self):
-        val = mvn_pdf(np.zeros(1), np.eye(1), np.zeros(1))
+        val = _pdf(np.zeros(1), np.eye(1), np.zeros(1))
         assert val == pytest.approx(1.0 / np.sqrt(2 * np.pi), rel=1e-14)
 
     def test_bivariate_at_mode(self):
-        val = mvn_pdf(np.zeros(2), np.eye(2), np.zeros(2))
+        val = _pdf(np.zeros(2), np.eye(2), np.zeros(2))
         assert val == pytest.approx(1.0 / (2 * np.pi), rel=1e-14)
 
     def test_scaled_cov_frozen_value(self):
         # closed form evaluated independently: (4*pi)^-1 * exp(-1/2)
-        val = mvn_pdf(np.zeros(2), 2 * np.eye(2), np.array([1.0, 1.0]))
+        val = _pdf(np.zeros(2), 2 * np.eye(2), np.array([1.0, 1.0]))
         assert val == pytest.approx(0.04826617631502696, rel=1e-14)
 
     def test_positive_everywhere(self):
@@ -252,58 +275,63 @@ class TestMvnPdf:
         cov = make_spd(rng, 3)
         for _ in range(20):
             x = rng.normal(scale=5, size=3)
-            assert mvn_pdf(np.zeros(3), cov, x) > 0
+            assert _pdf(np.zeros(3), cov, x) > 0
 
     def test_integrates_to_one_1d(self):
         sigma = 1.7
         xs = np.linspace(-8 * sigma, 8 * sigma, 20_001)
-        vals = [mvn_pdf(np.zeros(1), np.array([[sigma**2]]), np.array([x])) for x in xs]
+        vals = np.exp(mvn_logpdf_batch(np.zeros(1), np.array([[sigma]]), xs[:, None]))
         trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2
         integral = trapezoid(vals, xs)
         assert integral == pytest.approx(1.0, abs=1e-6)
 
     def test_non_spd_rejected(self):
-        with pytest.raises(NotPositiveDefinite):
-            mvn_pdf(np.zeros(2), np.zeros((2, 2)), np.zeros(2))
+        # a singular factor: the zero matrix is its own (degenerate) factor
+        with np.errstate(divide="ignore"), pytest.raises(NotPositiveDefinite):
+            mvn_logpdf_batch(np.zeros(2), np.zeros((2, 2)), np.zeros((1, 2)))
 
     def test_logpdf_consistent(self):
+        # against the closed form -(d log 2 pi + log det cov + x^T cov^-1 x) / 2
         rng = np.random.default_rng(2)
         cov = make_spd(rng, 2)
         x = np.array([0.3, -0.7])
-        assert np.exp(mvn_logpdf(np.zeros(2), cov, x)) == pytest.approx(
-            mvn_pdf(np.zeros(2), cov, x), rel=1e-14
-        )
+        logdet = np.linalg.slogdet(cov)[1]
+        closed = -0.5 * (2 * np.log(2 * np.pi) + logdet + x @ np.linalg.solve(cov, x))
+        got = mvn_logpdf_batch(np.zeros(2), np.linalg.cholesky(cov), x[None, :])[0]
+        assert got == pytest.approx(closed, rel=1e-14)
 
 
 class TestMvnPdfBatch:
     @pytest.mark.parametrize("d", [2, 10, 40])
     def test_bit_equal_to_per_point_density(self, d):
+        # against the reference: its own Cholesky and one triangular solve per point
         rng = np.random.default_rng(d)
         for scale in (1e-6, 1.0, 1e4):
             cov = make_spd(rng, d, scale)
             mean = rng.normal(size=d)
-            points = sample_mvn(mean, cov, 15, RandomSource(d))
-            batch = mvn_pdf_batch(mean, cholesky(cov), points)
+            L = np.linalg.cholesky(cov)
+            points = sample_mvn(mean, L, 15, RandomSource(d))
+            batch = np.exp(mvn_logpdf_batch(mean, L, points))
             assert np.array_equal(batch, [mvn_pdf(mean, cov, x) for x in points])
 
     def test_non_finite_points_rejected(self):
         with pytest.raises(ValueError):
-            mvn_pdf_batch(np.zeros(2), np.eye(2), np.array([[0.0, 0.0], [np.nan, 1.0]]))
+            mvn_logpdf_batch(np.zeros(2), np.eye(2), np.array([[0.0, 0.0], [np.nan, 1.0]]))
 
 
 class TestWrongLengthPoint:
     # a length-1 point used to broadcast against a d-vector mean
     def test_mvn_pdf(self):
         with pytest.raises(ValueError, match="length 2"):
-            mvn_pdf(np.zeros(2), np.eye(2), np.array([1.0]))
+            mvn_logpdf_batch(np.zeros(2), np.eye(2), np.array([[1.0]]))
 
     def test_mvn_logpdf(self):
         with pytest.raises(ValueError, match="length 2"):
-            mvn_logpdf(np.zeros(2), np.eye(2), np.array([1.0, 2.0, 3.0]))
+            mvn_logpdf_batch(np.zeros(2), np.eye(2), np.array([[1.0, 2.0, 3.0]]))
 
     def test_batch(self):
         with pytest.raises(ValueError, match="length 3"):
-            mvn_pdf_batch(np.zeros(3), np.eye(3), np.ones((4, 1)))
+            mvn_logpdf_batch(np.zeros(3), np.eye(3), np.ones((4, 1)))
 
 
 def test_frobenius_norm():

@@ -1,13 +1,17 @@
 """The full optimization loop: budget, determinism, state bookkeeping, stops."""
 
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from bcmaes import optimizer
 from bcmaes.benchmarks import cone, registry_lookup
-from bcmaes.errors import InvariantViolation, PriorDegeneracy
-from bcmaes.linalg import cholesky, mvn_pdf_batch
-from bcmaes.niw import expected_covariance, expected_mean
+from bcmaes.errors import InvariantViolation, PriorDegeneracy, RepairFailed
+from bcmaes.linalg import mvn_logpdf_batch
+from bcmaes.niw import expected_covariance, expected_mean, posterior_update
 from bcmaes.optimizer import (
     STOP_CONTROLLER,
     STOP_MAX_ITER,
@@ -16,9 +20,9 @@ from bcmaes.optimizer import (
     IterationObservation,
     OptimizerConfig,
     default_popsize,
-    evaluate_population,
     init_prior,
     run,
+    _evaluate,
     _strategy_at,
 )
 
@@ -85,22 +89,24 @@ class TestConfig:
 class TestEvaluatePopulation:
     def test_direct_values(self):
         pts = np.array([[0.0, 0.0], [3.0, 4.0]])
-        assert np.array_equal(evaluate_population(pts, cone), [0.0, 5.0])
+        assert np.array_equal(_evaluate(pts, cone, None)[0], [0.0, 5.0])
 
     def test_nan_maps_to_inf(self):
         def objective(x):
             return np.nan if x[0] > 0 else cone(x)
 
         pts = np.array([[1.0, 0.0], [-3.0, 4.0]])
-        fit = evaluate_population(pts, objective)
+        fit, n_nan = _evaluate(pts, objective, None)
         assert fit[0] == np.inf
         assert int(np.argmin(fit)) == 1
+        assert n_nan == 1
 
     def test_parallel_matches_sequential(self):
         rng = np.random.default_rng(0)
         pts = rng.normal(size=(64, 3))
-        seq = evaluate_population(pts, cone, parallel=False)
-        par = evaluate_population(pts, cone, parallel=True)
+        seq = _evaluate(pts, cone, None)[0]
+        with ThreadPoolExecutor() as pool:
+            par = _evaluate(pts, cone, pool)[0]
         assert np.array_equal(seq, par)
 
 
@@ -127,6 +133,24 @@ class TestBudget:
 
         result = run(_cone_config(max_iter=40), counted)
         assert calls["n"] == result.iterations * 6
+
+    def test_three_factorizations_per_iteration(self):
+        # the sampling covariance, the corrected covariance and its SummaryStats
+        # certificate; the updated scale is certified by the next sampling repair
+        real = np.linalg.cholesky
+        failed = []
+
+        def cholesky(m):
+            try:
+                return real(m)
+            except np.linalg.LinAlgError:
+                failed.append(m)
+                raise
+
+        with mock.patch.object(np.linalg, "cholesky", wraps=cholesky) as chol:
+            result = run(_cone_config(max_iter=40), cone)
+        assert not failed  # no jitter rung was climbed
+        assert chol.call_count == 3 * result.iterations
 
 
 class TestRunOnCone:
@@ -248,11 +272,23 @@ class TestStops:
 
     def test_unrepairable_update_raises_prior_degeneracy(self, monkeypatch):
         def broken_update(p, s):
-            raise InvariantViolation("updated psi is not repairable to SPD")
+            raise InvariantViolation("updated hyperparameters break an invariant")
 
         monkeypatch.setattr(optimizer, "posterior_update", broken_update)
         with pytest.raises(PriorDegeneracy):
             run(_cone_config(max_iter=5), cone)
+
+    def test_unrepairable_updated_scale_raises_prior_degeneracy(self, monkeypatch):
+        # posterior_update does not factor psi'; the next iteration's repair of
+        # the belief covariance is its certificate. This scale has eigenvalues
+        # -999 and 1001, beyond the largest jitter (10x the largest diagonal entry).
+        def indefinite_update(p, s):
+            return replace(posterior_update(p, s), psi=np.array([[1.0, 1e3], [1e3, 1.0]]))
+
+        monkeypatch.setattr(optimizer, "posterior_update", indefinite_update)
+        with pytest.raises(PriorDegeneracy, match="iteration 2") as info:
+            run(_cone_config(max_iter=5), cone)
+        assert isinstance(info.value.__cause__, RepairFailed)
 
 
 class TestOtherDimensions:
@@ -281,8 +317,8 @@ class TestOtherDimensions:
         seen = []
         result = run(cfg, spec.fn, callback=seen.append)
         first = seen[0]
-        assert not np.any(mvn_pdf_batch(first.sampled_mean, cholesky(first.sampled_cov),
-                                        first.points))
+        factor = np.linalg.cholesky(first.sampled_cov)
+        assert not np.any(np.exp(mvn_logpdf_batch(first.sampled_mean, factor, first.points)))
         assert result.stop_reason == STOP_MAX_ITER
         assert result.iterations == 10
         assert np.isfinite(result.f_best)

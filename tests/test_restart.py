@@ -41,7 +41,7 @@ class TestInit:
         assert state.x_min is None
 
     def test_sentinel_dominates_any_finite_fitness(self):
-        state = init_restart(f_init=3.0)
+        state = init_restart()
         assert np.isfinite(state.f_min)
         assert 1e300 <= state.f_min
 
