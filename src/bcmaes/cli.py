@@ -68,6 +68,13 @@ def parse_args(argv: Sequence[str]) -> RunSpec:
             parser.error(f"--x0 must be a comma-separated number list, got {ns.x0!r}")
         if x0.shape != (ns.dim,):
             parser.error(f"--x0 has {x0.size} coordinates but --dim is {ns.dim}")
+    start = x0 if x0 is not None else registry_lookup(ns.function, ns.dim).default_x0
+    try:
+        # the run configuration's own checks, once, before any run starts
+        OptimizerConfig(dim=ns.dim, x0=start, sigma0=ns.sigma0, popsize=ns.popsize,
+                        max_iter=ns.max_iter, strategy=ns.strategy)
+    except ValueError as exc:
+        parser.error(str(exc))
     return RunSpec(
         function=ns.function,
         dim=ns.dim,

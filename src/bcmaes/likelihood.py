@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InvariantViolation, NonFiniteFitness, NonPositiveDensity, RepairFailed
 from .linalg import scaled_jitter_eps, spd_repair
-from .niw import SummaryStats
+from .niw import SummaryStats, _record
 
 _WEIGHT_SUM_TOL = 1e-12
 
@@ -34,7 +34,12 @@ def compute_weights(densities: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CandidateSet:
-    """A sampled population with fitness, densities and density-derived weights."""
+    """A sampled population with fitness, densities and density-derived weights.
+
+    Public construction, and :meth:`from_evaluations`, validate the shapes,
+    the densities and the weights; the run loop builds its candidate sets
+    from its own float64 arrays and :func:`compute_weights`, without these checks.
+    """
 
     points: np.ndarray
     fitness: np.ndarray
@@ -181,6 +186,8 @@ def summarize(
     The mean estimate follows the selected strategy ("s1" rank-paired,
     "s2" argmin); the covariance estimate is the bias-corrected scatter for
     both. The full population size is credited as the observation count.
+    ``sigma_bar`` comes out of :func:`corrected_covariance` certified positive
+    definite, so the summary is built without the checks of :class:`SummaryStats`.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
@@ -190,4 +197,4 @@ def summarize(
     else:
         mu_bar = strategy_two_mean(c)
     sigma_bar = corrected_covariance(r, c, prior_cov)
-    return SummaryStats(mu_bar=mu_bar, sigma_bar=sigma_bar, n_obs=c.k)
+    return _record(SummaryStats, mu_bar=mu_bar, sigma_bar=sigma_bar, n_obs=c.k)

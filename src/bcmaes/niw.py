@@ -24,10 +24,11 @@ class NiwParams:
     """Hyperparameters of the belief: location, pseudo-count, degrees of freedom, scale.
 
     ``kappa`` and ``nu`` are real-valued so that repeated additive updates and
-    rescaling interventions compose freely. Construction checks cheap
+    rescaling interventions compose freely. Public construction checks cheap
     invariants (positivity, symmetry, finiteness); positive definiteness of
     ``psi`` and the ``nu > d + 1`` bound are enforced by the operations that
-    need them.
+    need them. The run loop builds its beliefs from values it has already
+    certified, without these checks.
     """
 
     mu: np.ndarray
@@ -64,7 +65,9 @@ class SummaryStats:
 
     ``sigma_bar`` enters the scale update additively, i.e. it plays the role
     of the sum-of-squares scatter term; ``n_obs`` is the observation count
-    added to the pseudo-counts.
+    added to the pseudo-counts. Public construction validates the shapes and
+    that ``sigma_bar`` is positive semi-definite; the run loop builds its
+    summaries from a ``sigma_bar`` already certified, without these checks.
     """
 
     mu_bar: np.ndarray
@@ -94,6 +97,13 @@ class SummaryStats:
         object.__setattr__(self, "mu_bar", mu_bar)
         object.__setattr__(self, "sigma_bar", sigma_bar)
         object.__setattr__(self, "n_obs", int(self.n_obs))
+
+
+def _record(cls, **fields):
+    """Build ``cls`` from normalized, certified values, skipping its ``__post_init__`` checks."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 def expected_mean(p: NiwParams) -> np.ndarray:
@@ -128,16 +138,11 @@ def posterior_update(p: NiwParams, s: SummaryStats) -> NiwParams:
     ``psi'`` is positive definite by construction: a positive-definite
     ``psi`` plus two positive semi-definite terms. It is not factored here;
     it is certified where it is factored, by the next iteration's
-    :func:`~bcmaes.linalg.spd_repair` of the expected covariance.
-
-    Raises
-    ------
-    InvariantViolation
-        When the updated hyperparameters fail the checks of :class:`NiwParams`.
+    :func:`~bcmaes.linalg.spd_repair` of the expected covariance, which rejects a non-finite one.
     """
     n = s.n_obs
     shift = s.mu_bar - p.mu
     mu_new = (p.kappa * p.mu + n * s.mu_bar) / (p.kappa + n)
     psi_new = p.psi + s.sigma_bar + (p.kappa * n) / (p.kappa + n) * np.outer(shift, shift)
     psi_new = 0.5 * (psi_new + psi_new.T)
-    return NiwParams(mu=mu_new, kappa=p.kappa + n, nu=p.nu + n, psi=psi_new)
+    return _record(NiwParams, mu=mu_new, kappa=p.kappa + n, nu=p.nu + n, psi=psi_new)

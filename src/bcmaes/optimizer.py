@@ -14,15 +14,15 @@ from __future__ import annotations
 import math
 from concurrent.futures import Executor, ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InvariantViolation, PriorDegeneracy, RepairFailed
-from .likelihood import STRATEGIES, CandidateSet, summarize
+from .errors import PriorDegeneracy, RepairFailed
+from .likelihood import STRATEGIES, CandidateSet, compute_weights, summarize
 from .linalg import frobenius_norm, mvn_logpdf_batch, sample_mvn, spd_repair
-from .niw import NiwParams, expected_covariance, expected_mean, posterior_update
+from .niw import NiwParams, _record, expected_covariance, expected_mean, posterior_update
 from .restart import (
     DEFAULT_FACTORS,
     DEFAULT_LEVELS,
@@ -63,17 +63,23 @@ class OptimizerConfig:
     parallel_eval: bool = False
 
     def __post_init__(self):
+        # the run's one boundary check: the loop trusts every value derived from these
         x0 = np.asarray(self.x0, dtype=float)
         if x0.shape != (self.dim,):
             raise ValueError(f"x0 must have shape ({self.dim},), got {x0.shape}")
+        if not np.all(np.isfinite(x0)):
+            raise ValueError("x0 entries must be finite")
         object.__setattr__(self, "x0", x0)
-        if self.sigma0 <= 0:
+        # written as not (x > 0) so that NaN fails too
+        if not (self.sigma0 > 0):
             raise ValueError("sigma0 must be positive")
+        if not math.isfinite(2.0 * float(self.sigma0) * float(self.sigma0)):
+            raise ValueError("sigma0 is too large: the prior scale 2 * sigma0**2 overflows")
         if self.k < 2:
             raise ValueError("popsize must be at least 2")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.var_norm_tol <= 0:
+        if not (self.var_norm_tol > 0):
             raise ValueError("var_norm_tol must be positive")
         if self.stall_limit < 1:
             raise ValueError("stall_limit must be at least 1")
@@ -178,12 +184,19 @@ def run(
     consecutive non-improving iterations. The objective is called exactly
     ``popsize`` times per iteration.
 
+    Errors: an invalid configuration raises ``ValueError`` when the
+    :class:`OptimizerConfig` is constructed; past that, the loop trusts the
+    values it derives and builds its records without re-checking them.
+
     Raises
     ------
     PriorDegeneracy
-        If the belief covariance cannot be repaired to positive definite.
-        Its repair at the top of each iteration is also the one certificate
-        of the scale the previous conjugate update produced.
+        If the belief mean or covariance is non-finite, or the covariance
+        cannot be repaired to positive definite. The check and repair at the
+        top of each iteration are the one certificate of the belief the
+        previous conjugate update or controller intervention produced, and
+        the one place where failures become this error. A belief produced in
+        the final iteration is reported, not certified.
     """
     # one pool per run: building one per iteration cost more than the evaluations
     with ThreadPoolExecutor() if config.parallel_eval else nullcontext() as pool:
@@ -210,8 +223,11 @@ def _run(
         mean = expected_mean(state)
         try:
             cov, chol = spd_repair(belief_cov)
-        except RepairFailed as exc:
+        except (RepairFailed, ValueError) as exc:  # a ValueError here means non-finite
             raise PriorDegeneracy(f"belief covariance degenerate at iteration {t}") from exc
+        if not np.isfinite(mean).all():
+            # the mean update's kappa * mu + n * mu_bar overflows for |mu| near the float range
+            raise PriorDegeneracy(f"belief mean not finite at iteration {t}")
         # the one factor of cov serves both the draw and the density weights
         points = sample_mvn(mean, chol, k, rng)
         fitness, n_nan = _evaluate(points, objective, pool)
@@ -222,13 +238,11 @@ def _run(
             # at high d and large sigma0 the densities underflow; the weights
             # depend only on their ratios, so shift the log-densities by their maximum
             densities = np.exp(logp - logp.max())
-        candidates = CandidateSet.from_evaluations(points, fitness, densities)
+        candidates = _record(CandidateSet, points=points, fitness=fitness, densities=densities,
+                             weights=compute_weights(densities))
         summary = summarize(candidates, mean, cov, _strategy_at(config, t))
         state_before = state
-        try:
-            state = posterior_update(state, summary)
-        except InvariantViolation as exc:
-            raise PriorDegeneracy(f"belief scale degenerate at iteration {t}") from exc
+        state = posterior_update(state, summary)
 
         i_best = int(np.argmin(fitness))
         controller, decision = step_restart(controller, points[i_best], float(fitness[i_best]), cov)
@@ -237,16 +251,16 @@ def _run(
             event = "terminate-signal"
             stop_reason = STOP_CONTROLLER
         else:
+            mu, psi = state.mu, state.psi
             if decision.restart_point is not None:
-                psi = decision.restart_sigma * (state.nu - d - 1)
-                state = NiwParams(mu=decision.restart_point, kappa=state.kappa,
-                                  nu=state.nu, psi=psi)
+                mu, psi = decision.restart_point, decision.restart_sigma * (state.nu - d - 1)
                 event = "restart"
             scale = decision.new_sigma_scale
             if scale != 1.0:
-                state = replace(state, psi=state.psi * scale)
+                psi = psi * scale
                 if event == "none":
                     event = "dilate" if scale > 1.0 else "contract"
+            state = _record(NiwParams, mu=mu, kappa=state.kappa, nu=state.nu, psi=psi)
 
         # the next iteration samples from this same expected covariance
         belief_cov = expected_covariance(state)

@@ -52,6 +52,20 @@ class TestParseArgs:
             parse_args(["--function", "cone", "--dim", "2", "--x0", "1,2,3"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flags", [
+        ("--sigma0", "-1"),
+        ("--sigma0", "nan"),
+        ("--sigma0", "1e200"),
+        ("--x0", "nan,1"),
+        ("--popsize", "1"),
+    ], ids=["sigma0-negative", "sigma0-nan", "sigma0-overflow", "x0-nan", "popsize-1"])
+    def test_invalid_run_config_is_a_usage_error(self, flags, capsys):
+        # the config's own checks, reported as a usage error, not a traceback
+        with pytest.raises(SystemExit) as exc:
+            main(["--function", "cone", *flags])
+        assert exc.value.code == 2
+        assert "usage: bcmaes" in capsys.readouterr().err
+
     def test_schwefel1_uses_registry_default_x0(self, tmp_path):
         spec = parse_args(["--function", "schwefel1", "--seed", "1"])
         assert spec.x0 is None

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcmaes.errors import NonFiniteFitness, NonPositiveDensity, RepairFailed
+from bcmaes.errors import InvariantViolation, NonFiniteFitness, NonPositiveDensity, RepairFailed
 from bcmaes.likelihood import (
     CandidateSet,
     compute_weights,
@@ -57,6 +57,27 @@ class TestComputeWeights:
             compute_weights(np.array([1.0, 0.0]))
         with pytest.raises(NonPositiveDensity):
             compute_weights(np.array([1.0, -2.0]))
+
+
+class TestCandidateSetValidates:
+    """Public construction keeps every check; only the run loop builds candidate sets unchecked."""
+
+    @pytest.mark.parametrize("fields,error", [
+        (dict(points=np.zeros((1, 2)), fitness=np.zeros(1), densities=np.ones(1),
+              weights=np.ones(1)), InvariantViolation),
+        (dict(fitness=np.zeros(2)), InvariantViolation),
+        (dict(densities=np.ones(4)), InvariantViolation),
+        (dict(weights=np.full(2, 0.5)), InvariantViolation),
+        (dict(densities=np.array([1.0, 0.0, 1.0])), NonPositiveDensity),
+        (dict(weights=np.array([0.5, 0.5, 0.5])), InvariantViolation),
+        (dict(weights=np.array([1.5, -0.25, -0.25])), InvariantViolation),
+    ], ids=["k1", "fitness-length", "densities-length", "weights-length", "zero-density",
+            "weights-sum", "negative-weight"])
+    def test_rejects(self, fields, error):
+        base = dict(points=np.zeros((3, 2)), fitness=np.zeros(3), densities=np.ones(3),
+                    weights=np.full(3, 1.0 / 3.0))
+        with pytest.raises(error):
+            CandidateSet(**{**base, **fields})
 
 
 class TestRankCandidates:

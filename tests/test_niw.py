@@ -232,6 +232,38 @@ class TestWeightedUpdateExpectations:
             weighted_update_expectations(p, s)
 
 
+class TestPublicConstructorsValidate:
+    """Public construction keeps every check; only the run loop builds records unchecked."""
+
+    @pytest.mark.parametrize("fields", [
+        dict(mu=np.zeros(0), psi=np.zeros((0, 0))),
+        dict(mu=np.array([np.nan, 0.0])),
+        dict(mu=np.array([np.inf, 0.0])),
+        dict(psi=np.eye(3)),
+        dict(kappa=0.0),
+        dict(kappa=-1.0),
+        dict(kappa=np.nan),
+        dict(nu=np.nan),
+        dict(nu=np.inf),
+    ], ids=["empty-mu", "nan-mu", "inf-mu", "psi-size", "kappa-zero", "kappa-negative",
+            "kappa-nan", "nu-nan", "nu-inf"])
+    def test_niw_params_rejects(self, fields):
+        base = dict(mu=np.zeros(2), kappa=1.0, nu=5.0, psi=np.eye(2))
+        with pytest.raises(InvariantViolation):
+            NiwParams(**{**base, **fields})
+
+    @pytest.mark.parametrize("fields", [
+        dict(n_obs=0),
+        dict(mu_bar=np.zeros(3)),
+        dict(mu_bar=np.zeros((1, 2))),
+        dict(sigma_bar=np.diag([1.0, -1.0])),
+    ], ids=["no-observations", "mu-bar-length", "mu-bar-matrix", "indefinite-sigma-bar"])
+    def test_summary_stats_rejects(self, fields):
+        base = dict(mu_bar=np.zeros(2), sigma_bar=np.eye(2), n_obs=3)
+        with pytest.raises(InvariantViolation):
+            SummaryStats(**{**base, **fields})
+
+
 class TestValidationAndJson:
     def test_kappa_positive(self):
         with pytest.raises(InvariantViolation):

@@ -9,9 +9,10 @@ import pytest
 
 from bcmaes import optimizer
 from bcmaes.benchmarks import cone, registry_lookup
-from bcmaes.errors import InvariantViolation, PriorDegeneracy, RepairFailed
+from bcmaes.errors import PriorDegeneracy, RepairFailed
+from bcmaes.likelihood import CandidateSet
 from bcmaes.linalg import mvn_logpdf_batch
-from bcmaes.niw import expected_covariance, expected_mean, posterior_update
+from bcmaes.niw import NiwParams, SummaryStats, expected_covariance, expected_mean, posterior_update
 from bcmaes.optimizer import (
     STOP_CONTROLLER,
     STOP_MAX_ITER,
@@ -79,6 +80,27 @@ class TestConfig:
         with pytest.raises(ValueError):
             OptimizerConfig(dim=2, x0=np.zeros(3))
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("sigma0", np.nan, "positive"),
+        ("sigma0", np.inf, "too large"),
+        ("sigma0", 0.0, "positive"),
+        ("sigma0", -1.0, "positive"),
+        ("sigma0", 1.3e154, "too large"),  # 2 * sigma0**2, the prior scale, overflows
+        ("sigma0", 1e155, "too large"),  # sigma0**2 itself overflows a Python float
+        ("x0", np.array([np.nan, 10.0]), "finite"),
+        ("x0", np.array([10.0, np.inf]), "finite"),
+        ("var_norm_tol", np.nan, "positive"),
+        ("var_norm_tol", 0.0, "positive"),
+    ], ids=["sigma0-nan", "sigma0-inf", "sigma0-zero", "sigma0-negative", "sigma0-scale-overflow",
+            "sigma0-square-overflow", "x0-nan", "x0-inf", "var_norm_tol-nan", "var_norm_tol-zero"])
+    def test_rejected_at_construction(self, field, value, message):
+        # the run boundary: nothing past the config re-checks these
+        with pytest.raises(ValueError, match=message):
+            _cone_config(**{field: value})
+
+    def test_largest_finite_prior_scale_accepted(self):
+        assert _cone_config(sigma0=9e153).sigma0 == 9e153
+
     def test_strategy_schedule(self):
         cfg = _cone_config(strategy="s2", strategy_switch_iter=3)
         assert [_strategy_at(cfg, t) for t in (1, 3, 4, 10)] == ["s2", "s2", "s1", "s1"]
@@ -134,9 +156,9 @@ class TestBudget:
         result = run(_cone_config(max_iter=40), counted)
         assert calls["n"] == result.iterations * 6
 
-    def test_three_factorizations_per_iteration(self):
-        # the sampling covariance, the corrected covariance and its SummaryStats
-        # certificate; the updated scale is certified by the next sampling repair
+    def test_two_factorizations_per_iteration(self):
+        # the sampling covariance and the corrected covariance; the corrected
+        # covariance and the updated scale are not factored again
         real = np.linalg.cholesky
         failed = []
 
@@ -150,7 +172,20 @@ class TestBudget:
         with mock.patch.object(np.linalg, "cholesky", wraps=cholesky) as chol:
             result = run(_cone_config(max_iter=40), cone)
         assert not failed  # no jitter rung was climbed
-        assert chol.call_count == 3 * result.iterations
+        assert chol.call_count == 2 * result.iterations
+
+    def test_loop_builds_records_unchecked(self, monkeypatch):
+        # the loop validates once, at the run boundary: only init_prior's belief
+        # runs the checks of a public constructor
+        calls = {}
+        for cls in (NiwParams, SummaryStats, CandidateSet):
+            def counted(self, _check=cls.__post_init__, _name=cls.__name__):
+                calls[_name] = calls.get(_name, 0) + 1
+                _check(self)
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        result = run(_cone_config(max_iter=40), cone)
+        assert result.iterations == 40
+        assert calls == {"NiwParams": 1}
 
 
 class TestRunOnCone:
@@ -271,12 +306,31 @@ class TestStops:
         assert {t.event for t in result.trace} <= allowed
 
     def test_unrepairable_update_raises_prior_degeneracy(self, monkeypatch):
-        def broken_update(p, s):
-            raise InvariantViolation("updated hyperparameters break an invariant")
+        # posterior_update builds psi' unchecked; the next iteration's belief
+        # repair rejects a non-finite scale
+        def overflowed_update(p, s):
+            q = posterior_update(p, s)
+            q.psi[0, 0] = np.inf
+            return q
 
-        monkeypatch.setattr(optimizer, "posterior_update", broken_update)
-        with pytest.raises(PriorDegeneracy):
+        monkeypatch.setattr(optimizer, "posterior_update", overflowed_update)
+        with pytest.raises(PriorDegeneracy, match="iteration 2") as info:
             run(_cone_config(max_iter=5), cone)
+        assert isinstance(info.value.__cause__, ValueError)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_scale_raises_prior_degeneracy(self):
+        # psi' overflows in the conjugate update of iteration 15, which builds it
+        # unchecked; the belief repair of iteration 16 rejects it
+        with pytest.raises(PriorDegeneracy, match="iteration 16") as info:
+            run(_cone_config(sigma0=1e153, max_iter=60), cone)
+        assert isinstance(info.value.__cause__, ValueError)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_mean_raises_prior_degeneracy(self):
+        # kappa * mu + n * mu_bar overflows for a start this close to the float range
+        with pytest.raises(PriorDegeneracy):
+            run(_cone_config(x0=np.array([1e307, 1e307]), max_iter=10), cone)
 
     def test_unrepairable_updated_scale_raises_prior_degeneracy(self, monkeypatch):
         # posterior_update does not factor psi'; the next iteration's repair of
