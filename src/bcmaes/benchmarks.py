@@ -1,7 +1,12 @@
-"""Benchmark objectives, generalized to any dimension, plus a name registry."""
+"""Benchmark objectives, generalized to any dimension, plus a name registry.
+
+The objectives run once per candidate, so each is written with the fewest
+numpy calls that give the bits of its plain numpy expression.
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -15,23 +20,33 @@ _SCHWEFEL1_CLAMP = 500.0 * np.sin(np.sqrt(500.0))
 
 
 def cone(x) -> float:
-    """Euclidean norm; the simplest convex test case."""
-    return float(np.linalg.norm(np.asarray(x, dtype=float)))
+    """Euclidean norm of a vector; the simplest convex test case.
+
+    Computed as the root of one dot product, which is what
+    ``np.linalg.norm`` computes for a 1-D real vector, so the bits are its.
+    """
+    x = np.asarray(x, dtype=float)
+    return math.sqrt(x @ x)
 
 
 def schwefel2(x) -> float:
-    """Sum of absolute coordinates plus their product; piecewise linear, non-convex."""
+    """Sum of absolute coordinates plus their product; piecewise linear, non-convex.
+
+    The product is taken left to right over Python floats, the order of
+    numpy's sequential multiply-reduce, so the bits are those of
+    ``a.sum() + np.prod(a)``. Far from the origin in high dimension the
+    product exceeds the float range; a Python float overflows to inf
+    without a warning, and the value is inf either way. (A coordinate sum
+    that overflows, with coordinates near the float range, still warns.)
+    """
     a = np.abs(np.asarray(x, dtype=float))
-    # far from the origin in high dimension the product exceeds the float
-    # range; the value is inf either way, so the overflow is not reported
-    with np.errstate(over="ignore"):
-        return float(a.sum() + a.prod())
+    return float(a.sum()) + math.prod(a.tolist())
 
 
 def rastrigin(x) -> float:
     """10*n + sum(x_i^2 - 10*cos(2*pi*x_i)); highly multi-modal."""
     x = np.asarray(x, dtype=float)
-    return float(10.0 * x.size + np.sum(x**2 - 10.0 * np.cos(2.0 * np.pi * x)))
+    return float(10.0 * x.size + (x * x - 10.0 * np.cos(2.0 * np.pi * x)).sum())
 
 
 def schwefel1(x) -> float:

@@ -27,7 +27,7 @@ def compute_weights(densities: np.ndarray) -> np.ndarray:
     densities = np.asarray(densities, dtype=float)
     if densities.ndim != 1:
         raise ValueError("densities must be a vector")
-    if np.any(~np.isfinite(densities)) or np.any(densities <= 0):
+    if not np.isfinite(densities).all() or (densities <= 0).any():
         raise NonPositiveDensity("all densities must be finite and strictly positive")
     return densities / densities.sum()
 
@@ -108,7 +108,7 @@ def rank_candidates(c: CandidateSet) -> RankedCandidateSet:
     NonFiniteFitness
         If any fitness value is NaN (infinities are orderable and allowed).
     """
-    if np.any(np.isnan(c.fitness)):
+    if np.isnan(c.fitness).any():
         raise NonFiniteFitness("fitness contains NaN")
     order_w = np.argsort(-c.weights, kind="stable")
     fitness_w = c.fitness[order_w]
@@ -138,7 +138,7 @@ def strategy_one_mean(r: RankedCandidateSet, c: CandidateSet, prior_mean: np.nda
 
 def strategy_two_mean(c: CandidateSet) -> np.ndarray:
     """The population's fitness argmin; ties resolve to the lowest index."""
-    if np.any(np.isnan(c.fitness)):
+    if np.isnan(c.fitness).any():
         raise NonFiniteFitness("fitness contains NaN")
     return c.points[int(np.argmin(c.fitness))].copy()
 

@@ -15,6 +15,12 @@ factors as it is and, if not, how much jitter makes it factor. It returns
 the Cholesky factor of the matrix it accepts, and that factor is all
 :func:`sample_mvn` and :func:`mvn_logpdf_batch` take, so one factorization
 per matrix serves both the draw and the densities.
+
+The densities are the loop's one per-point step in this module. Only the
+triangular solve stays per row: a batched solve orders its sums differently
+and changes the bits. The constant and the quadratic forms are one numpy
+call each over the whole population, chosen to give the bits of the
+per-row expressions.
 """
 
 from __future__ import annotations
@@ -128,10 +134,12 @@ def sample_mvn(mean: np.ndarray, factor: np.ndarray, k: int, rng: RandomSource) 
 def mvn_logpdf_batch(mean: np.ndarray, factor: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Log-density of N(mean, L L^T) at each row of ``points``, from the lower factor ``L``.
 
-    Each row takes one LAPACK ``dtrtrs`` call on the Fortran-ordered view
-    ``L.T``, the call ``solve_triangular(L, b, lower=True)`` makes for a
-    C-ordered ``L``, so every value keeps the bits of a per-point solve. A
-    single batched solve sums in another order and does not.
+    Per row: one LAPACK ``dtrtrs`` call on the Fortran-ordered view ``L.T``,
+    the call ``solve_triangular(L, b, lower=True)`` makes for a C-ordered
+    ``L``, so every solution keeps the bits of a per-point solve. A single
+    batched solve sums in another order and does not. The rest is batched:
+    the quadratic forms ``y @ y`` of all rows are one stacked ``matmul``,
+    whose ``(1, d) @ (d, 1)`` stacks take the same dot as the per-row product.
     """
     mean = np.asarray(mean, dtype=float)
     points = np.asarray(points, dtype=float)
@@ -139,18 +147,19 @@ def mvn_logpdf_batch(mean: np.ndarray, factor: np.ndarray, points: np.ndarray) -
     if points.shape[-1] != d:
         raise ValueError(f"points must have length {d}, got shape {points.shape}")
     dev = points - mean
-    if not np.all(np.isfinite(dev)):
+    if not np.isfinite(dev).all():
         raise ValueError("points and mean must be finite")
     upper = factor.T
-    c = -0.5 * d * _LOG_2PI - np.sum(np.log(np.diag(factor)))
-    out = np.empty(dev.shape[0])
+    ys = np.empty_like(dev)
     for i, row in enumerate(dev):
-        y, info = dtrtrs(upper, row, lower=0, trans=1)
+        ys[i], info = dtrtrs(upper, row, lower=0, trans=1)
         if info != 0:
             raise NotPositiveDefinite("the Cholesky factor is singular")
-        out[i] = c - 0.5 * y @ y
-    return out
+    c = -0.5 * d * _LOG_2PI - np.log(factor.diagonal()).sum()
+    return c - 0.5 * (ys[:, None, :] @ ys[:, :, None])[:, 0, 0]
 
 
 def frobenius_norm(m: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(m, dtype=float), "fro"))
+    """Frobenius norm with the bits of ``np.linalg.norm(m, "fro")``: the root of one dot."""
+    v = np.asarray(m, dtype=float).ravel(order="K")
+    return math.sqrt(v @ v)

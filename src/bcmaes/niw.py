@@ -143,6 +143,6 @@ def posterior_update(p: NiwParams, s: SummaryStats) -> NiwParams:
     n = s.n_obs
     shift = s.mu_bar - p.mu
     mu_new = (p.kappa * p.mu + n * s.mu_bar) / (p.kappa + n)
-    psi_new = p.psi + s.sigma_bar + (p.kappa * n) / (p.kappa + n) * np.outer(shift, shift)
+    psi_new = p.psi + s.sigma_bar + (p.kappa * n) / (p.kappa + n) * (shift[:, None] * shift)
     psi_new = 0.5 * (psi_new + psi_new.T)
     return _record(NiwParams, mu=mu_new, kappa=p.kappa + n, nu=p.nu + n, psi=psi_new)

@@ -73,8 +73,11 @@ class OptimizerConfig:
         # written as not (x > 0) so that NaN fails too
         if not (self.sigma0 > 0):
             raise ValueError("sigma0 must be positive")
-        if not math.isfinite(2.0 * float(self.sigma0) * float(self.sigma0)):
+        prior_scale = 2.0 * float(self.sigma0) * float(self.sigma0)
+        if not math.isfinite(prior_scale):
             raise ValueError("sigma0 is too large: the prior scale 2 * sigma0**2 overflows")
+        if not (prior_scale > 0):
+            raise ValueError("sigma0 is too small: the prior scale 2 * sigma0**2 underflows to 0")
         if self.k < 2:
             raise ValueError("popsize must be at least 2")
         if self.max_iter < 1:
@@ -194,9 +197,10 @@ def run(
         If the belief mean or covariance is non-finite, or the covariance
         cannot be repaired to positive definite. The check and repair at the
         top of each iteration are the one certificate of the belief the
-        previous conjugate update or controller intervention produced, and
-        the one place where failures become this error. A belief produced in
-        the final iteration is reported, not certified.
+        previous conjugate update or controller intervention produced. A
+        belief produced in the final iteration is reported, not certified.
+        Also raised when a population's scatter overflows, so that its
+        covariance estimate is not finite.
     """
     # one pool per run: building one per iteration cost more than the evaluations
     with ThreadPoolExecutor() if config.parallel_eval else nullcontext() as pool:
@@ -234,13 +238,16 @@ def _run(
         nan_evals += n_nan
         logp = mvn_logpdf_batch(mean, chol, points)
         densities = np.exp(logp)
-        if not np.all(densities > 0):
+        if not (densities > 0).all():
             # at high d and large sigma0 the densities underflow; the weights
             # depend only on their ratios, so shift the log-densities by their maximum
             densities = np.exp(logp - logp.max())
         candidates = _record(CandidateSet, points=points, fitness=fitness, densities=densities,
                              weights=compute_weights(densities))
-        summary = summarize(candidates, mean, cov, _strategy_at(config, t))
+        try:
+            summary = summarize(candidates, mean, cov, _strategy_at(config, t))
+        except ValueError as exc:  # its inputs are certified: the scatter overflowed
+            raise PriorDegeneracy(f"population scatter not finite at iteration {t}") from exc
         state_before = state
         state = posterior_update(state, summary)
 

@@ -10,7 +10,7 @@ improvement signals termination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -114,17 +114,25 @@ def step_restart(
     l1, l2, l3, l4, l5 = state.levels
     k1, k2, k3, k4 = state.factors
     if f_best <= state.f_min:
-        new_state = replace(
-            state,
+        new_state = RestartState(
             retrial=0,
             f_min=float(f_best),
             x_min=np.asarray(x_best, dtype=float).copy(),
             sigma_min=np.asarray(sigma, dtype=float).copy(),
+            levels=state.levels,
+            factors=state.factors,
         )
         return new_state, RestartDecision(action=CONTINUE, new_sigma_scale=1.0, improved=True)
 
     retrial = state.retrial + 1
-    new_state = replace(state, retrial=retrial)
+    new_state = RestartState(
+        retrial=retrial,
+        f_min=state.f_min,
+        x_min=state.x_min,
+        sigma_min=state.sigma_min,
+        levels=state.levels,
+        factors=state.factors,
+    )
     if retrial >= l5:
         return new_state, RestartDecision(action=TERMINATE)
 

@@ -45,6 +45,7 @@ class RandomSource:
             raise ValueError("n must be nonnegative")
         if n == 0:
             return np.empty(0)
-        raw = self._bits.random_raw(n)
-        u = ((raw >> _U64_SHIFT).astype(np.float64) + 0.5) * _U53_SCALE
-        return ndtri(u)
+        u = (self._bits.random_raw(n) >> _U64_SHIFT).astype(np.float64)
+        u += 0.5
+        u *= _U53_SCALE
+        return ndtri(u, out=u)

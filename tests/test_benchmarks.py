@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bcmaes.benchmarks import (
@@ -16,6 +16,8 @@ from bcmaes.benchmarks import (
     schwefel2,
 )
 from bcmaes.errors import UnknownFunction
+
+import oracles
 
 
 class TestCone:
@@ -116,6 +118,34 @@ class TestProperties:
         x = np.array(xs)
         for fn in (cone, schwefel2, rastrigin, schwefel1):
             assert np.isfinite(fn(x))
+
+
+def _bits(v) -> bytes:
+    return np.float64(v).tobytes()
+
+
+class TestBitEqualToNumpyExpressions:
+    """The objectives give the bits of the plain numpy expressions in tests/oracles.py."""
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=400, deadline=None)
+    @given(
+        d=st.sampled_from([1, 2, 10, 40, 100]),
+        log_scale=st.floats(min_value=-8.0, max_value=8.0),
+        zero_frac=st.sampled_from([0.0, 0.1]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    # the product overflows to inf; with zeros, inf * 0 gives NaN
+    @example(d=100, log_scale=8.0, zero_frac=0.0, seed=0)
+    @example(d=100, log_scale=8.0, zero_frac=0.1, seed=130)
+    def test_same_bits(self, d, log_scale, zero_frac, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=d) * 10.0**log_scale
+        x[rng.random(d) < zero_frac] = 0.0
+        # schwefel2 runs under the error filter: its product overflow must be silent
+        assert _bits(schwefel2(x)) == _bits(oracles.schwefel2(x))
+        assert _bits(cone(x)) == _bits(oracles.cone(x))
+        assert _bits(rastrigin(x)) == _bits(oracles.rastrigin(x))
 
 
 class TestRegistry:

@@ -56,9 +56,11 @@ class TestParseArgs:
         ("--sigma0", "-1"),
         ("--sigma0", "nan"),
         ("--sigma0", "1e200"),
+        ("--sigma0", "1e-170"),
         ("--x0", "nan,1"),
         ("--popsize", "1"),
-    ], ids=["sigma0-negative", "sigma0-nan", "sigma0-overflow", "x0-nan", "popsize-1"])
+    ], ids=["sigma0-negative", "sigma0-nan", "sigma0-overflow", "sigma0-underflow", "x0-nan",
+            "popsize-1"])
     def test_invalid_run_config_is_a_usage_error(self, flags, capsys):
         # the config's own checks, reported as a usage error, not a traceback
         with pytest.raises(SystemExit) as exc:

@@ -18,6 +18,7 @@ from bcmaes.linalg import (
 )
 from bcmaes.rng import RandomSource
 
+import oracles
 from _util import make_spd
 from oracles import mvn_pdf
 
@@ -314,6 +315,24 @@ class TestMvnPdfBatch:
             batch = np.exp(mvn_logpdf_batch(mean, L, points))
             assert np.array_equal(batch, [mvn_pdf(mean, cov, x) for x in points])
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        d=st.sampled_from([1, 2, 10, 40, 100]),
+        log_scale=st.floats(min_value=-8.0, max_value=8.0),
+        spread=st.sampled_from([1.0, 30.0]),
+        k=st.integers(min_value=2, max_value=20),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_bit_equal_to_row_loop(self, d, log_scale, spread, k, seed):
+        # the stacked quadratic forms against one y @ y per row, after the same solves
+        rng = np.random.default_rng(seed)
+        scale = 10.0**log_scale
+        L = np.linalg.cholesky(make_spd(rng, d, scale * scale))
+        mean = scale * rng.normal(size=d)
+        points = mean + spread * sample_mvn(np.zeros(d), L, k, RandomSource(seed))
+        assert np.array_equal(mvn_logpdf_batch(mean, L, points),
+                              oracles.mvn_logpdf_rows(mean, L, points))
+
     def test_non_finite_points_rejected(self):
         with pytest.raises(ValueError):
             mvn_logpdf_batch(np.zeros(2), np.eye(2), np.array([[0.0, 0.0], [np.nan, 1.0]]))
@@ -336,3 +355,18 @@ class TestWrongLengthPoint:
 
 def test_frobenius_norm():
     assert frobenius_norm(np.eye(2)) == pytest.approx(np.sqrt(2.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    d=st.sampled_from([1, 2, 10, 40, 100]),
+    log_scale=st.floats(min_value=-8.0, max_value=8.0),
+    transposed=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_frobenius_norm_bit_equal_to_numpy_norm(d, log_scale, transposed, seed):
+    m = np.random.default_rng(seed).normal(size=(d, d)) * 10.0**log_scale
+    if transposed:
+        m = m.T  # a Fortran-ordered view: both sum in memory order
+    got, want = frobenius_norm(m), oracles.frobenius_norm(m)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from bcmaes import optimizer
-from bcmaes.benchmarks import cone, registry_lookup
+from bcmaes.benchmarks import FUNCTION_NAMES, cone, registry_lookup, schwefel2
 from bcmaes.errors import PriorDegeneracy, RepairFailed
 from bcmaes.likelihood import CandidateSet
 from bcmaes.linalg import mvn_logpdf_batch
@@ -87,12 +87,14 @@ class TestConfig:
         ("sigma0", -1.0, "positive"),
         ("sigma0", 1.3e154, "too large"),  # 2 * sigma0**2, the prior scale, overflows
         ("sigma0", 1e155, "too large"),  # sigma0**2 itself overflows a Python float
+        ("sigma0", 1e-170, "too small"),  # 2 * sigma0**2 underflows to 0
         ("x0", np.array([np.nan, 10.0]), "finite"),
         ("x0", np.array([10.0, np.inf]), "finite"),
         ("var_norm_tol", np.nan, "positive"),
         ("var_norm_tol", 0.0, "positive"),
     ], ids=["sigma0-nan", "sigma0-inf", "sigma0-zero", "sigma0-negative", "sigma0-scale-overflow",
-            "sigma0-square-overflow", "x0-nan", "x0-inf", "var_norm_tol-nan", "var_norm_tol-zero"])
+            "sigma0-square-overflow", "sigma0-scale-underflow", "x0-nan", "x0-inf",
+            "var_norm_tol-nan", "var_norm_tol-zero"])
     def test_rejected_at_construction(self, field, value, message):
         # the run boundary: nothing past the config re-checks these
         with pytest.raises(ValueError, match=message):
@@ -100,6 +102,12 @@ class TestConfig:
 
     def test_largest_finite_prior_scale_accepted(self):
         assert _cone_config(sigma0=9e153).sigma0 == 9e153
+
+    def test_small_prior_scale_accepted_and_sampled(self):
+        # the first sampled covariance is the requested sigma0**2 * I, not jitter
+        seen = []
+        run(_cone_config(sigma0=1e-150, max_iter=1), cone, callback=seen.append)
+        assert np.array_equal(seen[0].sampled_cov, 1e-300 * np.eye(2))
 
     def test_strategy_schedule(self):
         cfg = _cone_config(strategy="s2", strategy_switch_iter=3)
@@ -332,6 +340,15 @@ class TestStops:
         with pytest.raises(PriorDegeneracy):
             run(_cone_config(x0=np.array([1e307, 1e307]), max_iter=10), cone)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf - inf
+    def test_overflowing_scatter_raises_prior_degeneracy(self):
+        # the first population's scatter about its weighted mean overflows,
+        # so the covariance estimate of summarize is not finite
+        with pytest.raises(PriorDegeneracy, match="scatter not finite at iteration 1") as info:
+            run(_cone_config(x0=np.array([1.79e308, 1.79e308])), schwefel2)
+        assert isinstance(info.value.__cause__, ValueError)
+
     def test_unrepairable_updated_scale_raises_prior_degeneracy(self, monkeypatch):
         # posterior_update does not factor psi'; the next iteration's repair of
         # the belief covariance is its certificate. This scale has eigenvalues
@@ -376,6 +393,17 @@ class TestOtherDimensions:
         assert result.stop_reason == STOP_MAX_ITER
         assert result.iterations == 10
         assert np.isfinite(result.f_best)
+
+    @pytest.mark.parametrize("function", FUNCTION_NAMES)
+    @pytest.mark.parametrize("dim", [10, 100])
+    def test_documented_regime_finishes(self, dim, function):
+        # the default popsize (10 at d=10, 17 at d=100) and the default sigma0
+        spec = registry_lookup(function, dim)
+        cfg = OptimizerConfig(dim=dim, x0=spec.default_x0, max_iter=150, seed=1)
+        result = run(cfg, spec.fn)
+        assert result.stop_reason in (STOP_CONTROLLER, STOP_MAX_ITER, STOP_VAR_NORM, STOP_STALL)
+        assert result.iterations == len(result.trace) <= 150
+        assert result.f_best < spec.fn(spec.default_x0)
 
     def test_three_dimensional_run(self):
         cfg = OptimizerConfig(dim=3, x0=np.full(3, 10.0), seed=2, max_iter=400)
