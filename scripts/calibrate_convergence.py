@@ -10,13 +10,14 @@ With ``--json`` the script prints one JSON document instead of the report:
 one record per seed and function with the crossing iteration (null when the
 threshold is never crossed), the final best-so-far error and its log10
 (null when the error is not positive), the stop reason, and whether the run
-raised ``PriorDegeneracy``. ``--dim``, ``--popsize`` and ``--max-iter`` run
-the same scan at another dimension, population size or iteration cap (by
-default every function keeps its own cap below).
+raised ``PriorDegeneracy``. ``--dim`` and ``--max-iter`` run the same scan
+at another dimension or iteration cap (by default every function keeps its
+own cap below). The population size is the default for the dimension,
+4 + floor(3 ln dim), and each record carries it.
 
 Usage:
     python scripts/calibrate_convergence.py [--seeds 60]
-    python scripts/calibrate_convergence.py --json --dim 40 --popsize 15 --max-iter 300 --seeds 30
+    python scripts/calibrate_convergence.py --json --dim 40 --max-iter 300 --seeds 30
 """
 
 import argparse
@@ -43,12 +44,11 @@ def first_cross(trace, threshold, reference):
     return next((t.iter for t in trace if t.f_min_so_far - reference <= threshold), None)
 
 
-def scan_run(function, seed, dim, popsize, cap):
+def scan_run(function, seed, dim, cap):
     """One seeded run of the scan, as a JSON-ready record."""
     threshold = STUDY[function][0]
     bench = registry_lookup(function, dim)
-    cfg = OptimizerConfig(dim=dim, x0=bench.default_x0, sigma0=1.0, seed=seed,
-                          popsize=popsize, max_iter=cap)
+    cfg = OptimizerConfig(dim=dim, x0=bench.default_x0, sigma0=1.0, seed=seed, max_iter=cap)
     record = {"function": function, "seed": seed, "dim": dim, "popsize": cfg.k,
               "max_iter": cap, "threshold": threshold}
     try:
@@ -95,8 +95,6 @@ def main() -> int:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--seeds", type=int, default=60)
     parser.add_argument("--dim", type=int, default=2)
-    parser.add_argument("--popsize", type=int, default=None,
-                        help="population size (default: 4 + floor(3 ln dim))")
     parser.add_argument("--max-iter", type=int, default=None,
                         help="iteration cap for every function (default: each function's own)")
     parser.add_argument("--json", action="store_true",
@@ -107,7 +105,7 @@ def main() -> int:
     runs = []
     for function, (_, cap) in STUDY.items():
         cap = args.max_iter if args.max_iter is not None else cap
-        records = [scan_run(function, seed, args.dim, args.popsize, cap) for seed in seeds]
+        records = [scan_run(function, seed, args.dim, cap) for seed in seeds]
         if args.json:
             runs.extend(records)
         else:

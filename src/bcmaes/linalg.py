@@ -138,8 +138,10 @@ def mvn_logpdf_batch(mean: np.ndarray, factor: np.ndarray, points: np.ndarray) -
     the call ``solve_triangular(L, b, lower=True)`` makes for a C-ordered
     ``L``, so every solution keeps the bits of a per-point solve. A single
     batched solve sums in another order and does not. The rest is batched:
-    the quadratic forms ``y @ y`` of all rows are one stacked ``matmul``,
-    whose ``(1, d) @ (d, 1)`` stacks take the same dot as the per-row product.
+    the halved quadratic forms ``(0.5 * y) @ y`` of all rows are one stacked
+    ``matmul``, whose ``(1, d) @ (d, 1)`` stacks take the same dot as the
+    per-row product. The half stays inside the dot, as in ``0.5 * y @ y``:
+    halving the dot instead differs where ``y @ y`` overflows or underflows.
     """
     mean = np.asarray(mean, dtype=float)
     points = np.asarray(points, dtype=float)
@@ -156,7 +158,7 @@ def mvn_logpdf_batch(mean: np.ndarray, factor: np.ndarray, points: np.ndarray) -
         if info != 0:
             raise NotPositiveDefinite("the Cholesky factor is singular")
     c = -0.5 * d * _LOG_2PI - np.log(factor.diagonal()).sum()
-    return c - 0.5 * (ys[:, None, :] @ ys[:, :, None])[:, 0, 0]
+    return c - ((0.5 * ys)[:, None, :] @ ys[:, :, None])[:, 0, 0]
 
 
 def frobenius_norm(m: np.ndarray) -> float:

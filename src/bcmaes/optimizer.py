@@ -246,6 +246,8 @@ def _run(
                              weights=compute_weights(densities))
         try:
             summary = summarize(candidates, mean, cov, _strategy_at(config, t))
+        except np.linalg.LinAlgError:
+            raise  # an eigh that does not converge is not an overflow
         except ValueError as exc:  # its inputs are certified: the scatter overflowed
             raise PriorDegeneracy(f"population scatter not finite at iteration {t}") from exc
         state_before = state

@@ -10,7 +10,7 @@ improvement signals termination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -125,14 +125,7 @@ def step_restart(
         return new_state, RestartDecision(action=CONTINUE, new_sigma_scale=1.0, improved=True)
 
     retrial = state.retrial + 1
-    new_state = RestartState(
-        retrial=retrial,
-        f_min=state.f_min,
-        x_min=state.x_min,
-        sigma_min=state.sigma_min,
-        levels=state.levels,
-        factors=state.factors,
-    )
+    new_state = replace(state, retrial=retrial)
     if retrial >= l5:
         return new_state, RestartDecision(action=TERMINATE)
 

@@ -333,6 +333,14 @@ class TestMvnPdfBatch:
         assert np.array_equal(mvn_logpdf_batch(mean, L, points),
                               oracles.mvn_logpdf_rows(mean, L, points))
 
+    def test_bit_equal_to_row_loop_where_the_dot_overflows(self):
+        # y @ y is 2e308, past the float range, but the row loop's 0.5 * y @ y
+        # halves inside the dot and is finite; so is the batch
+        points = np.array([[1e154, 1e154], [1e154, -1e154], [1.0, 2.0]])
+        got = mvn_logpdf_batch(np.zeros(2), np.eye(2), points)
+        assert np.isfinite(got).all()
+        assert np.array_equal(got, oracles.mvn_logpdf_rows(np.zeros(2), np.eye(2), points))
+
     def test_non_finite_points_rejected(self):
         with pytest.raises(ValueError):
             mvn_logpdf_batch(np.zeros(2), np.eye(2), np.array([[0.0, 0.0], [np.nan, 1.0]]))

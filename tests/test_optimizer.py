@@ -349,6 +349,16 @@ class TestStops:
             run(_cone_config(x0=np.array([1.79e308, 1.79e308])), schwefel2)
         assert isinstance(info.value.__cause__, ValueError)
 
+    def test_linalg_error_in_summarize_is_not_reported_as_overflow(self, monkeypatch):
+        # LinAlgError is a ValueError; an eigh that does not converge in the
+        # cone projection must not read as a non-finite scatter
+        def unconverged(*args):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(optimizer, "summarize", unconverged)
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            run(_cone_config(max_iter=5), cone)
+
     def test_unrepairable_updated_scale_raises_prior_degeneracy(self, monkeypatch):
         # posterior_update does not factor psi'; the next iteration's repair of
         # the belief covariance is its certificate. This scale has eigenvalues
