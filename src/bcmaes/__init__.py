@@ -12,23 +12,11 @@ from .errors import (
     DegreesOfFreedomTooLow,
     InvalidLevels,
     InvariantViolation,
-    NonFiniteFitness,
-    NonPositiveDensity,
     NotPositiveDefinite,
     PriorDegeneracy,
     RepairFailed,
     SchemaError,
     UnknownFunction,
-)
-from .likelihood import (
-    CandidateSet,
-    RankedCandidateSet,
-    compute_weights,
-    corrected_covariance,
-    rank_candidates,
-    strategy_one_mean,
-    strategy_two_mean,
-    summarize,
 )
 from .linalg import sample_mvn, spd_repair
 from .niw import NiwParams, SummaryStats, expected_covariance, expected_mean, posterior_update
@@ -55,7 +43,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BcmaesError",
     "BenchmarkSpec",
-    "CandidateSet",
     "DegreesOfFreedomTooLow",
     "DEFAULT_FACTORS",
     "DEFAULT_LEVELS",
@@ -63,13 +50,10 @@ __all__ = [
     "InvariantViolation",
     "IterationTrace",
     "NiwParams",
-    "NonFiniteFitness",
-    "NonPositiveDensity",
     "NotPositiveDefinite",
     "OptimizerConfig",
     "PriorDegeneracy",
     "RandomSource",
-    "RankedCandidateSet",
     "RepairFailed",
     "RestartDecision",
     "RestartState",
@@ -77,16 +61,13 @@ __all__ = [
     "SchemaError",
     "SummaryStats",
     "UnknownFunction",
-    "compute_weights",
     "cone",
-    "corrected_covariance",
     "default_popsize",
     "expected_covariance",
     "expected_mean",
     "init_prior",
     "init_restart",
     "posterior_update",
-    "rank_candidates",
     "rastrigin",
     "registry_lookup",
     "run",
@@ -95,7 +76,4 @@ __all__ = [
     "schwefel2",
     "spd_repair",
     "step_restart",
-    "strategy_one_mean",
-    "strategy_two_mean",
-    "summarize",
 ]

@@ -21,14 +21,6 @@ class InvariantViolation(BcmaesError):
     """A belief-state invariant (positivity, symmetry, definiteness) was broken."""
 
 
-class NonPositiveDensity(BcmaesError):
-    """Candidate densities must be strictly positive to form weights."""
-
-
-class NonFiniteFitness(BcmaesError):
-    """A fitness value was NaN where an ordering is required."""
-
-
 class InvalidLevels(BcmaesError):
     """Restart level thresholds must be strictly increasing."""
 

@@ -6,9 +6,9 @@ including popsize < d: there the covariance estimate can be indefinite
 beyond what the jitter ladder of :func:`spd_repair` repairs, and the
 likelihood layer then projects it onto the positive-definite cone instead.
 At d ~ 100 with a large sigma0 (1e3) every density of a population can
-underflow to zero; the optimizer then takes the weights from the
-log-densities of :func:`mvn_logpdf_batch` shifted by their maximum, which
-gives the same normalized weights.
+underflow to zero, and with a small one (1e-4) overflow to inf; the optimizer
+then takes the weights from the log-densities of :func:`mvn_logpdf_batch`
+shifted by their maximum, which gives the same normalized weights.
 
 :func:`spd_repair` owns the jitter policy: it decides whether a matrix
 factors as it is and, if not, how much jitter makes it factor. It returns

@@ -1,12 +1,16 @@
 """The full optimization loop: predict, sample, evaluate, correct, update, control.
 
 Each iteration samples a population from the belief's expected parameters,
-evaluates it, condenses it into summary statistics via density weighting and
-rank pairing, applies the exact conjugate update, and lets the restart
-controller dilate/contract/recenter the search covariance. The belief state
-is the single source of truth: controller interventions are mapped back onto
-the scale hyperparameter so the next iteration's sampling covariance is
-always the belief's expected covariance.
+evaluates it, weights each point by its sampling density, condenses the
+population into summary statistics with :func:`~bcmaes.likelihood.summarize`,
+applies the exact conjugate update, and lets the restart controller
+dilate/contract/recenter the search covariance. The loop certifies what
+``summarize`` takes: NaN fitness is mapped to +inf, and densities that
+underflow or overflow are rescaled in the log domain before they are
+normalized into weights. The belief state is the single source of truth:
+controller interventions are mapped back onto the scale hyperparameter so
+the next iteration's sampling covariance is always the belief's expected
+covariance.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import PriorDegeneracy, RepairFailed
-from .likelihood import STRATEGIES, CandidateSet, compute_weights, summarize
+from .likelihood import STRATEGIES, summarize
 from .linalg import frobenius_norm, mvn_logpdf_batch, sample_mvn, spd_repair
 from .niw import NiwParams, _record, expected_covariance, expected_mean, posterior_update
 from .restart import (
@@ -237,15 +241,18 @@ def _run(
         fitness, n_nan = _evaluate(points, objective, pool)
         nan_evals += n_nan
         logp = mvn_logpdf_batch(mean, chol, points)
-        densities = np.exp(logp)
-        if not (densities > 0).all():
-            # at high d and large sigma0 the densities underflow; the weights
-            # depend only on their ratios, so shift the log-densities by their maximum
+        with np.errstate(over="ignore"):
+            densities = np.exp(logp)
+            total = densities.sum()
+        if not ((densities > 0).all() and total < np.inf):
+            # at high d the densities underflow (large sigma0) or overflow (small
+            # sigma0); the weights depend only on their ratios, so shift the
+            # log-densities by their maximum
             densities = np.exp(logp - logp.max())
-        candidates = _record(CandidateSet, points=points, fitness=fitness, densities=densities,
-                             weights=compute_weights(densities))
+            total = densities.sum()
         try:
-            summary = summarize(candidates, mean, cov, _strategy_at(config, t))
+            summary = summarize(points, fitness, densities / total, mean, cov,
+                                _strategy_at(config, t))
         except np.linalg.LinAlgError:
             raise  # an eigh that does not converge is not an overflow
         except ValueError as exc:  # its inputs are certified: the scatter overflowed

@@ -10,7 +10,6 @@ import bcmaes.plotting
 PUBLIC = [
     "BcmaesError",
     "BenchmarkSpec",
-    "CandidateSet",
     "DegreesOfFreedomTooLow",
     "DEFAULT_FACTORS",
     "DEFAULT_LEVELS",
@@ -18,13 +17,10 @@ PUBLIC = [
     "InvariantViolation",
     "IterationTrace",
     "NiwParams",
-    "NonFiniteFitness",
-    "NonPositiveDensity",
     "NotPositiveDefinite",
     "OptimizerConfig",
     "PriorDegeneracy",
     "RandomSource",
-    "RankedCandidateSet",
     "RepairFailed",
     "RestartDecision",
     "RestartState",
@@ -32,16 +28,13 @@ PUBLIC = [
     "SchemaError",
     "SummaryStats",
     "UnknownFunction",
-    "compute_weights",
     "cone",
-    "corrected_covariance",
     "default_popsize",
     "expected_covariance",
     "expected_mean",
     "init_prior",
     "init_restart",
     "posterior_update",
-    "rank_candidates",
     "rastrigin",
     "registry_lookup",
     "run",
@@ -50,9 +43,6 @@ PUBLIC = [
     "schwefel2",
     "spd_repair",
     "step_restart",
-    "strategy_one_mean",
-    "strategy_two_mean",
-    "summarize",
 ]
 
 

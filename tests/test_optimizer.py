@@ -10,7 +10,6 @@ import pytest
 from bcmaes import optimizer
 from bcmaes.benchmarks import FUNCTION_NAMES, cone, registry_lookup, schwefel2
 from bcmaes.errors import PriorDegeneracy, RepairFailed
-from bcmaes.likelihood import CandidateSet
 from bcmaes.linalg import mvn_logpdf_batch
 from bcmaes.niw import NiwParams, SummaryStats, expected_covariance, expected_mean, posterior_update
 from bcmaes.optimizer import (
@@ -186,7 +185,7 @@ class TestBudget:
         # the loop validates once, at the run boundary: only init_prior's belief
         # runs the checks of a public constructor
         calls = {}
-        for cls in (NiwParams, SummaryStats, CandidateSet):
+        for cls in (NiwParams, SummaryStats):
             def counted(self, _check=cls.__post_init__, _name=cls.__name__):
                 calls[_name] = calls.get(_name, 0) + 1
                 _check(self)
@@ -194,6 +193,37 @@ class TestBudget:
         result = run(_cone_config(max_iter=40), cone)
         assert result.iterations == 40
         assert calls == {"NiwParams": 1}
+
+
+class TestWeights:
+    @pytest.mark.parametrize("dim,sigma0", [(2, 1.0), (100, 1e3), (100, 1e-4)])
+    def test_weights_are_normalized_densities(self, monkeypatch, dim, sigma0):
+        # summarize gets the densities over their sum: finite, order-preserving
+        # and summing to one, also where the densities underflow (sigma0 = 1e3)
+        # or overflow (sigma0 = 1e-4) and are shifted by the largest log-density
+        seen = []
+        real = optimizer.summarize
+
+        def capture(points, fitness, weights, mean, cov, strategy):
+            seen.append((points, weights, mean, cov))
+            return real(points, fitness, weights, mean, cov, strategy)
+
+        monkeypatch.setattr(optimizer, "summarize", capture)
+        spec = registry_lookup("cone", dim)
+        run(OptimizerConfig(dim=dim, x0=spec.default_x0, sigma0=sigma0, max_iter=5, seed=1),
+            spec.fn)
+        assert len(seen) == 5
+        for points, weights, mean, cov in seen:
+            logp = mvn_logpdf_batch(mean, np.linalg.cholesky(cov), points)
+            with np.errstate(over="ignore", invalid="ignore"):
+                direct = np.exp(logp)
+                direct = direct / direct.sum()
+            shifted = np.exp(logp - logp.max())
+            shifted = shifted / shifted.sum()
+            assert np.array_equal(weights, direct) or np.array_equal(weights, shifted)
+            assert np.isfinite(weights).all() and (weights >= 0).all()
+            assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+            assert (np.diff(weights[np.argsort(logp, kind="stable")]) >= 0).all()
 
 
 class TestRunOnCone:
@@ -403,6 +433,23 @@ class TestOtherDimensions:
         assert result.stop_reason == STOP_MAX_ITER
         assert result.iterations == 10
         assert np.isfinite(result.f_best)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("function", FUNCTION_NAMES)
+    @pytest.mark.parametrize("dim,sigma0", [(100, 1e-4), (10, 1e-35), (3, 1e-150)])
+    def test_overflowing_densities_finish(self, dim, sigma0, function):
+        # a small sigma0 makes the densities' normalizing constant exceed the
+        # float range, so some density of the first population overflows to inf
+        # and the weights come from the shifted log-densities, without a warning
+        spec = registry_lookup(function, dim)
+        cfg = OptimizerConfig(dim=dim, x0=spec.default_x0, sigma0=sigma0, max_iter=5, seed=1)
+        seen = []
+        result = run(cfg, spec.fn, callback=seen.append)
+        first = seen[0]
+        factor = np.linalg.cholesky(first.sampled_cov)
+        assert mvn_logpdf_batch(first.sampled_mean, factor, first.points).max() > 710.0
+        assert result.stop_reason in (STOP_CONTROLLER, STOP_MAX_ITER, STOP_VAR_NORM, STOP_STALL)
+        assert result.iterations == len(result.trace) <= 5
 
     @pytest.mark.parametrize("function", FUNCTION_NAMES)
     @pytest.mark.parametrize("dim", [10, 100])
