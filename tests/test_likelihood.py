@@ -13,7 +13,7 @@ from _util import make_spd
 from oracles import mvn_pdf
 
 
-def _summary(points, fitness, densities, prior_mean, prior_cov, strategy="s1"):
+def _summary(points, fitness, densities, prior_mean, prior_cov, strategy):
     """``summarize`` on float64 copies of the inputs, weighted as the run loop weights them."""
     densities = np.asarray(densities, dtype=float)
     return summarize(np.asarray(points, dtype=float), np.asarray(fitness, dtype=float),
@@ -100,6 +100,8 @@ class TestStrategyTwoMean:
 
     def test_tie_takes_first(self):
         assert _s2_mean([[3.0], [-1.0]], [2.0, 2.0], [1.0, 1.0])[0] == 3.0
+        # the lowest index, not the best-ranked point: the later point is denser
+        assert _s2_mean([[3.0], [-1.0]], [2.0, 2.0], [1.0, 3.0])[0] == 3.0
 
     def test_brute_force_scan(self):
         rng = np.random.default_rng(3)
