@@ -172,6 +172,23 @@ def _evaluate(points: np.ndarray, objective, pool: Optional[Executor]) -> tuple[
     return raw, int(nan_mask.sum())
 
 
+def _density_weights(logp: np.ndarray) -> np.ndarray:
+    """The sampling densities ``exp(logp)`` over their sum: finite weights summing to one.
+
+    Where every density is positive and their sum finite, the weights are
+    ``densities / densities.sum()``. At high d the densities underflow (large
+    sigma0) or overflow (small sigma0); the weights depend only on their
+    ratios, so then the log-densities are shifted by their maximum first.
+    """
+    with np.errstate(over="ignore"):
+        densities = np.exp(logp)
+        total = densities.sum()
+    if not ((densities > 0).all() and total < np.inf):
+        densities = np.exp(logp - logp.max())
+        total = densities.sum()
+    return densities / total
+
+
 def _strategy_at(config: OptimizerConfig, t: int) -> str:
     if config.strategy_switch_iter is None or t <= config.strategy_switch_iter:
         return config.strategy
@@ -240,19 +257,9 @@ def _run(
         points = sample_mvn(mean, chol, k, rng)
         fitness, n_nan = _evaluate(points, objective, pool)
         nan_evals += n_nan
-        logp = mvn_logpdf_batch(mean, chol, points)
-        with np.errstate(over="ignore"):
-            densities = np.exp(logp)
-            total = densities.sum()
-        if not ((densities > 0).all() and total < np.inf):
-            # at high d the densities underflow (large sigma0) or overflow (small
-            # sigma0); the weights depend only on their ratios, so shift the
-            # log-densities by their maximum
-            densities = np.exp(logp - logp.max())
-            total = densities.sum()
+        weights = _density_weights(mvn_logpdf_batch(mean, chol, points))
         try:
-            summary = summarize(points, fitness, densities / total, mean, cov,
-                                _strategy_at(config, t))
+            summary = summarize(points, fitness, weights, mean, cov, _strategy_at(config, t))
         except np.linalg.LinAlgError:
             raise  # an eigh that does not converge is not an overflow
         except ValueError as exc:  # its inputs are certified: the scatter overflowed

@@ -1,4 +1,4 @@
-"""Rank pairing, strategy means and the corrected covariance, all through ``summarize``."""
+"""Density weighting, then rank pairing, strategy means and the corrected covariance through ``summarize``."""
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from bcmaes.errors import RepairFailed
 from bcmaes.likelihood import summarize
 from bcmaes.linalg import mvn_logpdf_batch, scaled_jitter_eps, spd_repair
+from bcmaes.optimizer import _density_weights
 
 from _util import make_spd
 from oracles import mvn_pdf
@@ -34,6 +35,31 @@ def _s2_mean(points, fitness, densities):
 def _covariance(points, fitness, densities, prior_cov):
     d = np.shape(points)[1]
     return _summary(points, fitness, densities, np.zeros(d), prior_cov, "s2").sigma_bar
+
+
+class TestComputeWeights:
+    """The run loop's weights: the densities ``exp(logp)`` over their sum."""
+
+    def test_uniform(self):
+        assert np.array_equal(_density_weights(np.zeros(4)), np.full(4, 0.25))
+
+    def test_direct_normalization(self):
+        # exp(log 3) is not exactly 3, so the weights are checked bitwise against
+        # the direct quotient and against 3:1 to rounding
+        logp = np.log([3.0, 1.0])
+        densities = np.exp(logp)
+        w = _density_weights(logp)
+        assert np.array_equal(w, densities / densities.sum())
+        assert w == pytest.approx([0.75, 0.25], rel=1e-15)
+
+    @given(st.lists(st.floats(0.01, 100.0), min_size=2, max_size=12))
+    def test_normalized_and_order_preserving(self, dens):
+        logp = np.log(dens)
+        w = _density_weights(logp)
+        assert w.sum() == pytest.approx(1.0, abs=1e-12)
+        order_d = np.argsort(np.exp(logp), kind="stable")
+        order_w = np.argsort(w, kind="stable")
+        assert np.array_equal(order_d, order_w)
 
 
 def _aligned_population(rng, k=6, d=2):
