@@ -4,8 +4,10 @@
 REF and NEW are documents printed by ``calibrate_convergence.py --json`` for
 the same dimension and the same seeds. The rule, per function:
 
-- at d=2, neither the median nor the q3 crossing iteration may get worse;
-  a run that never crosses the threshold counts as +inf;
+- at d=2, neither the median nor the q3 crossing iteration may get worse,
+  a run that never crosses the threshold counting as +inf; nor may the
+  number of seeds that cross fall, which is what a function with more
+  misses than crossings (both quantiles +inf) can still show;
 - at any other d (the references are d=10 and d=40), the median final
   log10 error may not rise by more than 0.1; a run that hits the minimum
   exactly counts as -inf;
@@ -52,6 +54,10 @@ def crossings(records):
     return [math.inf if r["crossing"] is None else r["crossing"] for r in records]
 
 
+def crossed(records):
+    return sum(r["crossing"] is not None for r in records)
+
+
 def log10_errors(records):
     # a raised run has no error either; the raise itself is the violation
     return [-math.inf if r["final_log10_error"] is None else r["final_log10_error"]
@@ -68,6 +74,10 @@ def compare_function(function, ref, new, dim):
             worse = b > a
             bad |= worse
             parts.append(f"{name} crossing {a:g} -> {b:g}{' WORSE' if worse else ''}")
+        a, b = crossed(ref), crossed(new)
+        worse = b < a
+        bad |= worse
+        parts.append(f"crossed {a} -> {b}{' WORSE' if worse else ''}")
     else:
         a, b = quantile(log10_errors(ref), 50), quantile(log10_errors(new), 50)
         worse = b - a > MAX_LOG10_RISE

@@ -1,5 +1,6 @@
 """The calibration scan's machine-readable mode and the comparator of two scans."""
 
+import copy
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+D2_REFERENCE = ROOT / "docs" / "convergence" / "d2.json"
 
 
 def test_calibration_scan_json_records():
@@ -83,3 +85,25 @@ def test_comparator_refuses_scans_of_different_seeds(tmp_path):
     out = _compare(tmp_path, D2_REF, _scan(2, crossings=[10, 20, 30, 40]))
     assert out.returncode == 2
     assert "different seeds" in out.stderr
+
+
+def test_comparator_passes_the_d2_reference_against_itself(tmp_path):
+    ref = json.loads(D2_REFERENCE.read_text())
+    out = _compare(tmp_path, ref, ref)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert [line.split(":")[:2] for line in out.stdout.splitlines()] == [
+        [f, " ok"] for f in ("cone", "schwefel2", "rastrigin", "schwefel1")]
+
+
+def test_comparator_sees_a_lost_rastrigin_crossing(tmp_path):
+    # rastrigin crosses in fewer than half of the reference's seeds, so its
+    # median and q3 are +inf either way; only the count of crossings can fall
+    ref = json.loads(D2_REFERENCE.read_text())
+    new = copy.deepcopy(ref)
+    lost = next(r for r in new["runs"] if r["function"] == "rastrigin" and r["crossing"])
+    lost["crossing"] = None
+    out = _compare(tmp_path, ref, new)
+    assert out.returncode == 1, out.stdout + out.stderr
+    line = next(line for line in out.stdout.splitlines() if line.startswith("rastrigin:"))
+    assert line.startswith("rastrigin: FAIL: median crossing inf -> inf, q3 crossing inf -> inf")
+    assert "WORSE" in line.split("crossed ")[1]
