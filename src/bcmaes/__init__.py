@@ -18,7 +18,7 @@ from .errors import (
     SchemaError,
     UnknownFunction,
 )
-from .linalg import sample_mvn, spd_repair
+from .linalg import sample_mvn
 from .niw import NiwParams, SummaryStats, expected_covariance, expected_mean, posterior_update
 from .optimizer import (
     IterationTrace,
@@ -74,6 +74,5 @@ __all__ = [
     "sample_mvn",
     "schwefel1",
     "schwefel2",
-    "spd_repair",
     "step_restart",
 ]

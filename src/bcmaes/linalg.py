@@ -72,12 +72,22 @@ def spd_repair(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sequential ladder would form, so the result is the same bits, and a call
     makes at most 5 factorization attempts (attempt 0 plus ceil(log2 13)).
 
+    The caller guarantees that ``m`` is a float64 square matrix and exactly
+    symmetric, and nothing here checks it: the run loop passes the belief's
+    expected covariance, which :func:`~bcmaes.niw.posterior_update`
+    symmetrizes and only scalars rescale, and
+    :func:`~bcmaes.likelihood.summarize` symmetrizes its estimate first.
+    Only finiteness is checked, because an overflow upstream can break it.
+
     Raises
     ------
+    ValueError
+        When an entry of ``m`` is NaN or infinite.
     RepairFailed
         When no rung factorizes, signalling an irrecoverably broken matrix.
     """
-    m = check_symmetric(m)
+    if not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite")
     try:
         return m, np.linalg.cholesky(m)
     except np.linalg.LinAlgError:

@@ -41,7 +41,6 @@ PUBLIC = [
     "sample_mvn",
     "schwefel1",
     "schwefel2",
-    "spd_repair",
     "step_restart",
 ]
 
