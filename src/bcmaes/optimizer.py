@@ -50,7 +50,14 @@ def default_popsize(dim: int) -> int:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Run configuration; defaults reproduce the reference experiment setup."""
+    """Run configuration; defaults reproduce the reference experiment setup.
+
+    ``var_norm_tol`` is relative to the initial scale: the run stops when the
+    expected covariance's Frobenius norm falls below ``var_norm_tol *
+    sigma0**2``. (It used to be absolute, so a run started at ``sigma0 <=
+    1e-6`` stopped after its first iteration.) At ``sigma0 = 1`` the two
+    readings are the same comparison.
+    """
 
     dim: int
     x0: np.ndarray
@@ -204,7 +211,7 @@ def run(
 
     Stops on the first of: controller termination (a full contraction ladder
     without improvement), the iteration cap, the expected-covariance
-    Frobenius norm falling below ``var_norm_tol``, or ``stall_limit``
+    Frobenius norm falling below ``var_norm_tol * sigma0**2``, or ``stall_limit``
     consecutive non-improving iterations. The objective is called exactly
     ``popsize`` times per iteration.
 
@@ -243,6 +250,7 @@ def _run(
     stop_reason: Optional[str] = None
     nan_evals = 0
     belief_cov = expected_covariance(state)
+    var_norm_tol = config.var_norm_tol * config.sigma0**2
 
     for t in range(1, config.max_iter + 1):
         mean = expected_mean(state)
@@ -314,7 +322,7 @@ def _run(
             )
         if stop_reason is not None:
             break
-        if cov_norm < config.var_norm_tol:
+        if cov_norm < var_norm_tol:
             stop_reason = STOP_VAR_NORM
             break
         if controller.retrial >= config.stall_limit:

@@ -326,6 +326,19 @@ class TestStops:
         assert result.stop_reason == STOP_VAR_NORM
         assert result.iterations == 1
 
+    @pytest.mark.parametrize("sigma0", [1e-9, 1e-7, 1e-6])
+    def test_var_norm_tol_is_relative_to_sigma0(self, sigma0):
+        # an absolute 1e-12 stopped these runs after iteration 1: their first
+        # expected covariance already had a norm of about sigma0**2
+        cfg = _cone_config(x0=np.array([1e-8, 1e-8]), sigma0=sigma0)
+        result = run(cfg, cone)
+        assert result.stop_reason == STOP_MAX_ITER
+        assert result.iterations == 50
+        # scaled by sigma0**2, the tolerance of test_var_norm_stop stops at iteration 1 again
+        result = run(replace(cfg, var_norm_tol=10.0), cone)
+        assert result.stop_reason == STOP_VAR_NORM
+        assert result.iterations == 1
+
     def test_max_iter_stop(self):
         result = run(_cone_config(max_iter=5), cone)
         assert result.stop_reason == STOP_MAX_ITER
