@@ -12,7 +12,6 @@ from .errors import (
     DegreesOfFreedomTooLow,
     InvalidLevels,
     InvariantViolation,
-    NotPositiveDefinite,
     PriorDegeneracy,
     RepairFailed,
     SchemaError,
@@ -50,7 +49,6 @@ __all__ = [
     "InvariantViolation",
     "IterationTrace",
     "NiwParams",
-    "NotPositiveDefinite",
     "OptimizerConfig",
     "PriorDegeneracy",
     "RandomSource",

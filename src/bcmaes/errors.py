@@ -5,10 +5,6 @@ class BcmaesError(Exception):
     """Base class for all package-specific errors."""
 
 
-class NotPositiveDefinite(BcmaesError):
-    """A matrix required to be positive definite failed its Cholesky factorization."""
-
-
 class RepairFailed(BcmaesError):
     """Diagonal-jitter repair could not restore positive definiteness."""
 

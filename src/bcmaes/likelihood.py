@@ -50,8 +50,11 @@ def summarize(
     - ``points`` is a float64 ``(k, d)`` matrix with k >= 2;
     - ``fitness`` is a float64 length-k vector without NaN (infinities are
       ordered);
-    - ``weights`` is the float64 length-k vector ``densities / densities.sum()``:
-      finite, nonnegative and summing to one;
+    - ``weights`` is the float64 length-k vector of the normalized sampling
+      densities: finite, nonnegative and summing to one. The loop computes
+      them as the softmax of ``-|z|**2 / 2`` over the variates ``z`` behind
+      the points, which equals ``densities / densities.sum()`` up to
+      rounding;
     - ``prior_mean`` and ``prior_cov`` are the float64 mean and certified
       positive-definite covariance the population was sampled from;
     - ``strategy`` is one of :data:`STRATEGIES`.

@@ -1,26 +1,19 @@
-"""Dense symmetric-matrix primitives, multivariate normal sampling and density.
+"""Dense symmetric-matrix primitives and multivariate normal sampling.
 
 All matrices are dense row-major ``float64`` arrays; the intended regime is
 small dimension (experiments run at d = 2). Runs up to d ~ 100 finish,
 including popsize < d: there the covariance estimate can be indefinite
 beyond what the jitter ladder of :func:`spd_repair` repairs, and the
 likelihood layer then projects it onto the positive-definite cone instead.
-At d ~ 100 with a large sigma0 (1e3) every density of a population can
-underflow to zero, and with a small one (1e-4) overflow to inf; the optimizer
-then takes the weights from the log-densities of :func:`mvn_logpdf_batch`
-shifted by their maximum, which gives the same normalized weights.
 
 :func:`spd_repair` owns the jitter policy: it decides whether a matrix
 factors as it is and, if not, how much jitter makes it factor. It returns
 the Cholesky factor of the matrix it accepts, and that factor is all
-:func:`sample_mvn` and :func:`mvn_logpdf_batch` take, so one factorization
-per matrix serves both the draw and the densities.
-
-The densities are the loop's one per-point step in this module. Only the
-triangular solve stays per row: a batched solve orders its sums differently
-and changes the bits. The constant and the quadratic forms are one numpy
-call each over the whole population, chosen to give the bits of the
-per-row expressions.
+:func:`sample_mvn` takes. The run loop draws through :func:`_sample`, which
+also returns the standard-normal variates ``z`` behind each point: with
+``x = mean + L z`` the sampling density of ``x`` is ``exp(-|z|**2 / 2)``
+times a constant shared by the whole population, so the loop weights the
+points from ``z`` and never evaluates a density.
 """
 
 from __future__ import annotations
@@ -28,9 +21,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
 
-from .errors import NotPositiveDefinite, RepairFailed
+from .errors import RepairFailed
 from .rng import RandomSource
 
 _SYM_RTOL = 1e-12
@@ -38,8 +30,6 @@ _SYM_RTOL = 1e-12
 # with eps = _JITTER_BASE * max(1, max |diag m|)
 _JITTER_BASE = 1e-10
 _RUNGS = 12
-
-_LOG_2PI = np.log(2.0 * np.pi)
 
 
 def check_symmetric(m: np.ndarray) -> np.ndarray:
@@ -136,39 +126,18 @@ def sample_mvn(mean: np.ndarray, factor: np.ndarray, k: int, rng: RandomSource) 
         raise ValueError("mean must be a vector")
     if k < 2:
         raise ValueError("k must be at least 2")
+    return _sample(mean, factor, k, rng)[0]
+
+
+def _sample(mean: np.ndarray, factor: np.ndarray, k: int,
+            rng: RandomSource) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`sample_mvn` on a float64 mean vector and k >= 2, returning ``(points, z)``.
+
+    ``z`` is the ``(k, d)`` matrix of the variates that built the points.
+    """
     d = mean.shape[0]
     z = rng.standard_normals(k * d).reshape(k, d)
-    return mean + z @ factor.T
-
-
-def mvn_logpdf_batch(mean: np.ndarray, factor: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Log-density of N(mean, L L^T) at each row of ``points``, from the lower factor ``L``.
-
-    Per row: one LAPACK ``dtrtrs`` call on the Fortran-ordered view ``L.T``,
-    the call ``solve_triangular(L, b, lower=True)`` makes for a C-ordered
-    ``L``, so every solution keeps the bits of a per-point solve. A single
-    batched solve sums in another order and does not. The rest is batched:
-    the halved quadratic forms ``(0.5 * y) @ y`` of all rows are one stacked
-    ``matmul``, whose ``(1, d) @ (d, 1)`` stacks take the same dot as the
-    per-row product. The half stays inside the dot, as in ``0.5 * y @ y``:
-    halving the dot instead differs where ``y @ y`` overflows or underflows.
-    """
-    mean = np.asarray(mean, dtype=float)
-    points = np.asarray(points, dtype=float)
-    d = mean.shape[0]
-    if points.shape[-1] != d:
-        raise ValueError(f"points must have length {d}, got shape {points.shape}")
-    dev = points - mean
-    if not np.isfinite(dev).all():
-        raise ValueError("points and mean must be finite")
-    upper = factor.T
-    ys = np.empty_like(dev)
-    for i, row in enumerate(dev):
-        ys[i], info = dtrtrs(upper, row, lower=0, trans=1)
-        if info != 0:
-            raise NotPositiveDefinite("the Cholesky factor is singular")
-    c = -0.5 * d * _LOG_2PI - np.log(factor.diagonal()).sum()
-    return c - ((0.5 * ys)[:, None, :] @ ys[:, :, None])[:, 0, 0]
+    return mean + z @ factor.T, z
 
 
 def frobenius_norm(m: np.ndarray) -> float:

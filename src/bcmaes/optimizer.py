@@ -5,12 +5,13 @@ evaluates it, weights each point by its sampling density, condenses the
 population into summary statistics with :func:`~bcmaes.likelihood.summarize`,
 applies the exact conjugate update, and lets the restart controller
 dilate/contract/recenter the search covariance. The loop certifies what
-``summarize`` takes: NaN fitness is mapped to +inf, and densities that
-underflow or overflow are rescaled in the log domain before they are
-normalized into weights. The belief state is the single source of truth:
-controller interventions are mapped back onto the scale hyperparameter so
-the next iteration's sampling covariance is always the belief's expected
-covariance.
+``summarize`` takes: NaN fitness is mapped to +inf, and the weights are the
+softmax of ``-|z|**2 / 2`` over the standard-normal variates ``z`` the points
+were drawn from (``x = mean + L z``), which are the normalized sampling
+densities without evaluating one, so no density can underflow or overflow.
+The belief state is the single source of truth: controller interventions are
+mapped back onto the scale hyperparameter so the next iteration's sampling
+covariance is always the belief's expected covariance.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import PriorDegeneracy, RepairFailed
 from .likelihood import STRATEGIES, summarize
-from .linalg import frobenius_norm, mvn_logpdf_batch, sample_mvn, spd_repair
+from .linalg import _sample, frobenius_norm, spd_repair
 from .niw import NiwParams, _record, expected_covariance, expected_mean, posterior_update
 from .restart import (
     DEFAULT_FACTORS,
@@ -179,21 +180,14 @@ def _evaluate(points: np.ndarray, objective, pool: Optional[Executor]) -> tuple[
     return raw, int(nan_mask.sum())
 
 
-def _density_weights(logp: np.ndarray) -> np.ndarray:
-    """The sampling densities ``exp(logp)`` over their sum: finite weights summing to one.
+def _softmax(q: np.ndarray) -> np.ndarray:
+    """``exp(q)`` over its sum, shifted by ``max(q)``: finite weights summing to one.
 
-    Where every density is positive and their sum finite, the weights are
-    ``densities / densities.sum()``. At high d the densities underflow (large
-    sigma0) or overflow (small sigma0); the weights depend only on their
-    ratios, so then the log-densities are shifted by their maximum first.
+    After the shift every exponent is at most 0 and the largest term is
+    exactly 1, so nothing overflows and the sum lies in ``[1, len(q)]``.
     """
-    with np.errstate(over="ignore"):
-        densities = np.exp(logp)
-        total = densities.sum()
-    if not ((densities > 0).all() and total < np.inf):
-        densities = np.exp(logp - logp.max())
-        total = densities.sum()
-    return densities / total
+    e = np.exp(q - q.max())
+    return e / e.sum()
 
 
 def _strategy_at(config: OptimizerConfig, t: int) -> str:
@@ -261,11 +255,12 @@ def _run(
         if not np.isfinite(mean).all():
             # the mean update's kappa * mu + n * mu_bar overflows for |mu| near the float range
             raise PriorDegeneracy(f"belief mean not finite at iteration {t}")
-        # the one factor of cov serves both the draw and the density weights
-        points = sample_mvn(mean, chol, k, rng)
+        points, z = _sample(mean, chol, k, rng)
         fitness, n_nan = _evaluate(points, objective, pool)
         nan_evals += n_nan
-        weights = _density_weights(mvn_logpdf_batch(mean, chol, points))
+        # x = mean + chol @ z has density exp(-|z|**2 / 2) / ((2 pi)**(d/2) det chol);
+        # the constant is common to the population and cancels in the weights
+        weights = _softmax(-0.5 * (z * z).sum(axis=1))
         try:
             summary = summarize(points, fitness, weights, mean, cov, _strategy_at(config, t))
         except np.linalg.LinAlgError:

@@ -17,7 +17,6 @@ PUBLIC = [
     "InvariantViolation",
     "IterationTrace",
     "NiwParams",
-    "NotPositiveDefinite",
     "OptimizerConfig",
     "PriorDegeneracy",
     "RandomSource",

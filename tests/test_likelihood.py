@@ -7,15 +7,15 @@ from hypothesis import strategies as st
 
 from bcmaes.errors import RepairFailed
 from bcmaes.likelihood import summarize
-from bcmaes.linalg import mvn_logpdf_batch, scaled_jitter_eps, spd_repair
-from bcmaes.optimizer import _density_weights
+from bcmaes.linalg import scaled_jitter_eps, spd_repair
+from bcmaes.optimizer import _softmax
 
 from _util import make_spd
-from oracles import mvn_pdf
+from oracles import mvn_logpdf_batch, mvn_pdf
 
 
 def _summary(points, fitness, densities, prior_mean, prior_cov, strategy):
-    """``summarize`` on float64 copies of the inputs, weighted as the run loop weights them."""
+    """``summarize`` on float64 copies of the inputs, weighted by the normalized densities."""
     densities = np.asarray(densities, dtype=float)
     return summarize(np.asarray(points, dtype=float), np.asarray(fitness, dtype=float),
                      densities / densities.sum(), np.asarray(prior_mean, dtype=float),
@@ -38,24 +38,24 @@ def _covariance(points, fitness, densities, prior_cov):
 
 
 class TestComputeWeights:
-    """The run loop's weights: the densities ``exp(logp)`` over their sum."""
+    """The run loop's weights: the softmax of log-densities, ``exp(logp - max)`` over its sum."""
 
     def test_uniform(self):
-        assert np.array_equal(_density_weights(np.zeros(4)), np.full(4, 0.25))
+        assert np.array_equal(_softmax(np.zeros(4)), np.full(4, 0.25))
 
     def test_direct_normalization(self):
-        # exp(log 3) is not exactly 3, so the weights are checked bitwise against
-        # the direct quotient and against 3:1 to rounding
+        # exp(log 1 - log 3) is not exactly 1/3, so the weights are checked
+        # bitwise against the shifted quotient and against 3:1 to rounding
         logp = np.log([3.0, 1.0])
-        densities = np.exp(logp)
-        w = _density_weights(logp)
-        assert np.array_equal(w, densities / densities.sum())
+        shifted = np.exp(logp - logp.max())
+        w = _softmax(logp)
+        assert np.array_equal(w, shifted / shifted.sum())
         assert w == pytest.approx([0.75, 0.25], rel=1e-15)
 
     @given(st.lists(st.floats(0.01, 100.0), min_size=2, max_size=12))
     def test_normalized_and_order_preserving(self, dens):
         logp = np.log(dens)
-        w = _density_weights(logp)
+        w = _softmax(logp)
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
         order_d = np.argsort(np.exp(logp), kind="stable")
         order_w = np.argsort(w, kind="stable")

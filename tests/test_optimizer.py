@@ -10,7 +10,6 @@ import pytest
 from bcmaes import optimizer
 from bcmaes.benchmarks import FUNCTION_NAMES, cone, registry_lookup, schwefel2
 from bcmaes.errors import PriorDegeneracy, RepairFailed
-from bcmaes.linalg import mvn_logpdf_batch
 from bcmaes.niw import NiwParams, SummaryStats, expected_covariance, expected_mean, posterior_update
 from bcmaes.optimizer import (
     STOP_CONTROLLER,
@@ -25,6 +24,9 @@ from bcmaes.optimizer import (
     _evaluate,
     _strategy_at,
 )
+from bcmaes.rng import RandomSource
+
+import oracles
 
 
 def _cone_config(**kw):
@@ -198,9 +200,10 @@ class TestBudget:
 class TestWeights:
     @pytest.mark.parametrize("dim,sigma0", [(2, 1.0), (100, 1e3), (100, 1e-4)])
     def test_weights_are_normalized_densities(self, monkeypatch, dim, sigma0):
-        # summarize gets the densities over their sum: finite, order-preserving
-        # and summing to one, also where the densities underflow (sigma0 = 1e3)
-        # or overflow (sigma0 = 1e-4) and are shifted by the largest log-density
+        # summarize gets softmax(-|z|**2 / 2) over the variates behind the
+        # points, exactly; that is the densities over their sum to rounding,
+        # also where the densities themselves underflow (sigma0 = 1e3) or
+        # overflow (sigma0 = 1e-4)
         seen = []
         real = optimizer.summarize
 
@@ -213,14 +216,16 @@ class TestWeights:
         run(OptimizerConfig(dim=dim, x0=spec.default_x0, sigma0=sigma0, max_iter=5, seed=1),
             spec.fn)
         assert len(seen) == 5
+        k = default_popsize(dim)
+        stream = RandomSource(1)
         for points, weights, mean, cov in seen:
-            logp = mvn_logpdf_batch(mean, np.linalg.cholesky(cov), points)
-            with np.errstate(over="ignore", invalid="ignore"):
-                direct = np.exp(logp)
-                direct = direct / direct.sum()
-            shifted = np.exp(logp - logp.max())
-            shifted = shifted / shifted.sum()
-            assert np.array_equal(weights, direct) or np.array_equal(weights, shifted)
+            z = stream.standard_normals(k * dim).reshape(k, dim)
+            q = -0.5 * (z * z).sum(axis=1)
+            e = np.exp(q - q.max())
+            assert np.array_equal(weights, e / e.sum())
+            logp = oracles.mvn_logpdf_batch(mean, np.linalg.cholesky(cov), points)
+            densities = np.exp(logp - logp.max())
+            np.testing.assert_allclose(weights, densities / densities.sum(), rtol=1e-8)
             assert np.isfinite(weights).all() and (weights >= 0).all()
             assert weights.sum() == pytest.approx(1.0, abs=1e-12)
             assert (np.diff(weights[np.argsort(logp, kind="stable")]) >= 0).all()
@@ -435,14 +440,15 @@ class TestOtherDimensions:
 
     def test_dim100_large_sigma0_finishes(self):
         # at sigma0 = 1e3 every density of the first population underflows to
-        # zero, so the weights come from the shifted log-densities
+        # zero; the weights come from the variates and do not
         spec = registry_lookup("cone", 100)
         cfg = OptimizerConfig(dim=100, x0=spec.default_x0, sigma0=1e3, max_iter=10, seed=1)
         seen = []
         result = run(cfg, spec.fn, callback=seen.append)
         first = seen[0]
         factor = np.linalg.cholesky(first.sampled_cov)
-        assert not np.any(np.exp(mvn_logpdf_batch(first.sampled_mean, factor, first.points)))
+        assert not np.any(np.exp(oracles.mvn_logpdf_batch(first.sampled_mean, factor,
+                                                          first.points)))
         assert result.stop_reason == STOP_MAX_ITER
         assert result.iterations == 10
         assert np.isfinite(result.f_best)
@@ -452,15 +458,15 @@ class TestOtherDimensions:
     @pytest.mark.parametrize("dim,sigma0", [(100, 1e-4), (10, 1e-35), (3, 1e-150)])
     def test_overflowing_densities_finish(self, dim, sigma0, function):
         # a small sigma0 makes the densities' normalizing constant exceed the
-        # float range, so some density of the first population overflows to inf
-        # and the weights come from the shifted log-densities, without a warning
+        # float range, so some density of the first population overflows to inf;
+        # the weights come from the variates and do not, without a warning
         spec = registry_lookup(function, dim)
         cfg = OptimizerConfig(dim=dim, x0=spec.default_x0, sigma0=sigma0, max_iter=5, seed=1)
         seen = []
         result = run(cfg, spec.fn, callback=seen.append)
         first = seen[0]
         factor = np.linalg.cholesky(first.sampled_cov)
-        assert mvn_logpdf_batch(first.sampled_mean, factor, first.points).max() > 710.0
+        assert oracles.mvn_logpdf_batch(first.sampled_mean, factor, first.points).max() > 710.0
         assert result.stop_reason in (STOP_CONTROLLER, STOP_MAX_ITER, STOP_VAR_NORM, STOP_STALL)
         assert result.iterations == len(result.trace) <= 5
 
