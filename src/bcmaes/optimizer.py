@@ -55,9 +55,10 @@ class OptimizerConfig:
 
     ``var_norm_tol`` is relative to the initial scale: the run stops when the
     expected covariance's Frobenius norm falls below ``var_norm_tol *
-    sigma0**2``. (It used to be absolute, so a run started at ``sigma0 <=
-    1e-6`` stopped after its first iteration.) At ``sigma0 = 1`` the two
-    readings are the same comparison.
+    sigma0**2``, so a run started at a small ``sigma0`` does not stop at
+    once. This is a behaviour change from an absolute tolerance, which
+    stopped such runs after their first iteration; at ``sigma0 = 1`` the two
+    are the same comparison.
     """
 
     dim: int
