@@ -141,6 +141,19 @@ def _sample(mean: np.ndarray, factor: np.ndarray, k: int,
 
 
 def frobenius_norm(m: np.ndarray) -> float:
-    """Frobenius norm with the bits of ``np.linalg.norm(m, "fro")``: the root of one dot."""
+    """Frobenius norm with the bits of ``np.linalg.norm(m, "fro")``: the root of one dot.
+
+    When the sum of squares overflows although every entry is finite, the
+    entries are scaled by the largest magnitude first, so a finite matrix
+    whose norm is representable gets a finite norm. The overflowing dot
+    raises numpy's overflow warning unless the caller ignores it, as the run
+    loop does.
+    """
     v = np.asarray(m, dtype=float).ravel(order="K")
-    return math.sqrt(v @ v)
+    sq = v @ v
+    if not math.isfinite(sq):
+        peak = float(np.abs(v).max())
+        if math.isfinite(peak):
+            w = v / peak
+            return peak * math.sqrt(w @ w)
+    return math.sqrt(sq)

@@ -259,39 +259,44 @@ def _run(
         points, z = _sample(mean, chol, k, rng)
         fitness, n_nan = _evaluate(points, objective, pool)
         nan_evals += n_nan
-        # x = mean + chol @ z has density exp(-|z|**2 / 2) / ((2 pi)**(d/2) det chol);
-        # the constant is common to the population and cancels in the weights
-        weights = _softmax(-0.5 * (z * z).sum(axis=1))
-        try:
-            summary = summarize(points, fitness, weights, mean, cov, _strategy_at(config, t))
-        except np.linalg.LinAlgError:
-            raise  # an eigh that does not converge is not an overflow
-        except ValueError as exc:  # its inputs are certified: the scatter overflowed
-            raise PriorDegeneracy(f"population scatter not finite at iteration {t}") from exc
-        state_before = state
-        state = posterior_update(state, summary)
+        # an overflow below reaches PriorDegeneracy, here or at the next iteration's
+        # certificate, so numpy's warnings would only announce that error early;
+        # the objective above and the callback below keep their own warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            # x = mean + chol @ z has density exp(-|z|**2 / 2) / ((2 pi)**(d/2) det chol);
+            # the constant is common to the population and cancels in the weights
+            weights = _softmax(-0.5 * (z * z).sum(axis=1))
+            try:
+                summary = summarize(points, fitness, weights, mean, cov, _strategy_at(config, t))
+            except np.linalg.LinAlgError:
+                raise  # an eigh that does not converge is not an overflow
+            except ValueError as exc:  # its inputs are certified: the scatter overflowed
+                raise PriorDegeneracy(f"population scatter not finite at iteration {t}") from exc
+            state_before = state
+            state = posterior_update(state, summary)
 
-        i_best = int(np.argmin(fitness))
-        controller, decision = step_restart(controller, points[i_best], float(fitness[i_best]), cov)
-        event = "none"
-        if decision.action == TERMINATE:
-            event = "terminate-signal"
-            stop_reason = STOP_CONTROLLER
-        else:
-            mu, psi = state.mu, state.psi
-            if decision.restart_point is not None:
-                mu, psi = decision.restart_point, decision.restart_sigma * (state.nu - d - 1)
-                event = "restart"
-            scale = decision.new_sigma_scale
-            if scale != 1.0:
-                psi = psi * scale
-                if event == "none":
-                    event = "dilate" if scale > 1.0 else "contract"
-            state = _record(NiwParams, mu=mu, kappa=state.kappa, nu=state.nu, psi=psi)
+            i_best = int(np.argmin(fitness))
+            controller, decision = step_restart(controller, points[i_best],
+                                                float(fitness[i_best]), cov)
+            event = "none"
+            if decision.action == TERMINATE:
+                event = "terminate-signal"
+                stop_reason = STOP_CONTROLLER
+            else:
+                mu, psi = state.mu, state.psi
+                if decision.restart_point is not None:
+                    mu, psi = decision.restart_point, decision.restart_sigma * (state.nu - d - 1)
+                    event = "restart"
+                scale = decision.new_sigma_scale
+                if scale != 1.0:
+                    psi = psi * scale
+                    if event == "none":
+                        event = "dilate" if scale > 1.0 else "contract"
+                state = _record(NiwParams, mu=mu, kappa=state.kappa, nu=state.nu, psi=psi)
 
-        # the next iteration samples from this same expected covariance
-        belief_cov = expected_covariance(state)
-        cov_norm = frobenius_norm(belief_cov)
+            # the next iteration samples from this same expected covariance
+            belief_cov = expected_covariance(state)
+            cov_norm = frobenius_norm(belief_cov)
         trace.append(
             IterationTrace(
                 iter=t,

@@ -11,6 +11,8 @@ compare those weights against. The plain numpy expressions of the per-point
 hot paths (the objectives, the Frobenius norm) are kept too: the package
 computes the same bits with fewer numpy calls, and the tests require equal
 bits. The batch log-density's row loop is kept beside it the same way.
+The inverse normal CDF is scipy's compiled Cephes ``ndtri``, whose bits the
+package's numpy port must reproduce on the stream's uniforms.
 """
 
 from dataclasses import dataclass
@@ -18,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dtrtrs
+from scipy.special import ndtri as _scipy_ndtri
 
 from bcmaes.errors import DegreesOfFreedomTooLow, InvariantViolation
 from bcmaes.niw import NiwParams, SummaryStats, expected_covariance
@@ -196,3 +199,14 @@ def mvn_logpdf_batch(mean: np.ndarray, factor: np.ndarray, points: np.ndarray) -
             raise np.linalg.LinAlgError("the Cholesky factor is singular")
     c = -0.5 * d * np.log(2.0 * np.pi) - np.log(factor.diagonal()).sum()
     return c - ((0.5 * ys)[:, None, :] @ ys[:, :, None])[:, 0, 0]
+
+
+def ndtri(u) -> np.ndarray:
+    """The inverse normal CDF of ``u`` as scipy's compiled Cephes ``ndtri`` computes it."""
+    return _scipy_ndtri(np.asarray(u, dtype=float))
+
+
+def stream_uniforms(raw: np.ndarray) -> np.ndarray:
+    """The stream's uniforms for the given raw 64-bit words: top 53 bits, plus a half, over 2**53."""
+    u = (np.asarray(raw, dtype=np.uint64) >> np.uint64(11)).astype(np.float64)
+    return (u + 0.5) * 2.0**-53

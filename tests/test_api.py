@@ -2,6 +2,10 @@
 
 import dataclasses
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import bcmaes
 import bcmaes.cli
@@ -67,3 +71,13 @@ def test_names_the_benchmark_harness_calls():
     assert callable(bcmaes.cli.run_experiment)
     assert bcmaes.cli.run is bcmaes.run
     assert callable(bcmaes.plotting.emit_plot_data)
+
+
+def test_runtime_imports_no_scipy():
+    # scipy is a test dependency only: the package, its CLI and its plotting run on numpy
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys, bcmaes, bcmaes.cli, bcmaes.plotting; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"

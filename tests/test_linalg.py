@@ -1,5 +1,6 @@
 """Matrix primitives and sampling, and the density oracle the loop's weights are checked against."""
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -371,6 +372,24 @@ class TestWrongLengthPoint:
 
 def test_frobenius_norm():
     assert frobenius_norm(np.eye(2)) == pytest.approx(np.sqrt(2.0))
+
+
+@pytest.mark.parametrize("peak", [1e155, 1e200, 1e300, 1.7e308])
+def test_frobenius_norm_finite_where_the_squares_overflow(peak):
+    m = np.array([[peak, -0.5 * peak], [-0.5 * peak, 0.25 * peak]])
+    with np.errstate(over="ignore"):
+        got = frobenius_norm(m)
+    want = math.hypot(*m.ravel().tolist())  # hypot scales internally
+    if math.isfinite(want):
+        assert got == pytest.approx(want, rel=1e-15)
+    else:
+        assert got == math.inf
+
+
+def test_frobenius_norm_keeps_nan_and_inf():
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert math.isnan(frobenius_norm(np.array([[np.nan, 1.0], [1.0, 1.0]])))
+        assert frobenius_norm(np.array([[np.inf, 1.0], [1.0, 1.0]])) == math.inf
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,5 +1,6 @@
 """The full optimization loop: budget, determinism, state bookkeeping, stops."""
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from unittest import mock
@@ -374,13 +375,41 @@ class TestStops:
             run(_cone_config(max_iter=5), cone)
         assert isinstance(info.value.__cause__, ValueError)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_scale_raises_prior_degeneracy(self):
         # psi' overflows in the conjugate update of iteration 15, which builds it
-        # unchecked; the belief repair of iteration 16 rejects it
+        # unchecked; the belief repair of iteration 16 rejects it. The cone
+        # itself does not overflow here, and the loop warns of nothing before
+        # the error.
         with pytest.raises(PriorDegeneracy, match="iteration 16") as info:
             run(_cone_config(sigma0=1e153, max_iter=60), cone)
         assert isinstance(info.value.__cause__, ValueError)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_scatter_of_a_quiet_objective_raises_without_warning(self):
+        # |x_1| does not overflow; the population scatter about its weighted mean does
+        with pytest.raises(PriorDegeneracy, match="scatter not finite at iteration 1"):
+            run(_cone_config(x0=np.array([1e307, -1e307])), lambda x: abs(float(x[0])))
+
+    def test_objective_warnings_still_surface(self):
+        def loud(x):
+            np.float64(1e300) * np.float64(1e300)  # numpy warns of this overflow
+            return cone(x)
+
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            run(_cone_config(max_iter=1), loud)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_finite_covariance_has_finite_norm(self):
+        # entries near 1e300: the sum of squares overflows, the norm does not
+        seen = []
+        result = run(_cone_config(sigma0=1e150, max_iter=200),
+                     cone, callback=lambda obs: seen.append(expected_covariance(obs.state_after)))
+        assert result.stop_reason == STOP_MAX_ITER
+        for row, cov in zip(result.trace, seen, strict=True):
+            assert math.isfinite(row.cov_frobenius_norm)
+            assert row.cov_frobenius_norm == pytest.approx(math.hypot(*cov.ravel().tolist()),
+                                                           rel=1e-15)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_mean_raises_prior_degeneracy(self):

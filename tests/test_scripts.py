@@ -1,12 +1,14 @@
-"""The calibration scan's machine-readable mode and the comparator of two scans."""
+"""The calibration scan's machine-readable mode, the comparator of two scans and the ndtri check."""
 
 import copy
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -107,3 +109,28 @@ def test_comparator_sees_a_lost_rastrigin_crossing(tmp_path):
     line = next(line for line in out.stdout.splitlines() if line.startswith("rastrigin:"))
     assert line.startswith("rastrigin: FAIL: median crossing inf -> inf, q3 crossing inf -> inf")
     assert "WORSE" in line.split("crossed ")[1]
+
+
+def _check_ndtri(*args):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / "check_ndtri.py"), *args],
+                          env=env, capture_output=True, text=True)
+
+
+def test_check_ndtri_passes_the_port():
+    out = _check_ndtri("20000", "--seed", "3")
+    assert out.returncode == 0, out.stdout + out.stderr
+    stream, edges = out.stdout.splitlines()
+    assert stream.startswith("stream: 20000 variates of seed 3, 0 mismatches")
+    assert edges.endswith(" 0 mismatches")
+
+
+def test_check_ndtri_fails_on_a_one_ulp_difference(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("check_ndtri", ROOT / "scripts" / "check_ndtri.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    exact = script.ndtri
+    monkeypatch.setattr(script, "ndtri", lambda u: np.nextafter(exact(u), np.inf))
+    monkeypatch.setattr(sys, "argv", ["check_ndtri.py", "1000"])
+    assert script.main() == 1
+    assert "stream: 1000 variates of seed 1, 1000 mismatches" in capsys.readouterr().out
