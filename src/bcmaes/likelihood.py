@@ -26,8 +26,9 @@ def summarize(
     prior_mean: np.ndarray,
     prior_cov: np.ndarray,
     strategy: str,
-) -> SummaryStats:
-    """Produce the update summary for one population.
+    start: int = -1,
+) -> tuple[SummaryStats, int]:
+    """Produce the update summary for one population, and the jitter rung it took.
 
     The points are paired by a two-stage sort. Stage one orders the weights
     descending, ties broken by original index; stage two stably orders the
@@ -44,6 +45,13 @@ def summarize(
     jitter-repaired; when the jitter ladder fails, its eigenvalues are
     floored at ``scaled_jitter_eps(prior_cov)``. The full population size is
     credited as the observation count.
+
+    ``start`` is the warm start of that repair, the rung returned by the
+    previous call (see :func:`spd_repair`); it changes the number of
+    factorizations, never the result. The rung returned is the one the
+    repair settled on, or ``start`` itself when the estimate factored
+    without jitter or the ladder failed, so the next call probes first where
+    the last repair that found a rung ended.
 
     The run loop guarantees the inputs, and nothing here checks them:
 
@@ -63,15 +71,15 @@ def summarize(
     without the checks of :class:`SummaryStats`. A scatter that overflows
     reaches :func:`spd_repair` non-finite, which raises ``ValueError``.
     """
-    order_w = np.argsort(-weights, kind="stable")
+    order_w = (-weights).argsort(kind="stable")
     w_desc = weights[order_w]
-    x_fasc = points[order_w[np.argsort(fitness[order_w], kind="stable")]]
+    x_fasc = points[order_w[fitness[order_w].argsort(kind="stable")]]
     ranked_mean = w_desc @ x_fasc
     raw_mean = weights @ points
     if strategy == "s1":
         mu_bar = ranked_mean - (raw_mean - prior_mean)
     else:
-        mu_bar = points[int(np.argmin(fitness))].copy()
+        mu_bar = points[fitness.argmin()].copy()
 
     dev_r = x_fasc - ranked_mean
     a = (w_desc[:, None] * dev_r).T @ dev_r
@@ -80,7 +88,7 @@ def summarize(
     out = a - (b - prior_cov)
     out = 0.5 * (out + out.T)
     try:
-        sigma_bar = spd_repair(out)[0]
+        sigma_bar, _, rung = spd_repair(out, start)
     except RepairFailed:
         # With k < d the two rank-(k-1) scatters can leave an indefinite part
         # at the scale of prior_cov itself, beyond the jitter ladder: project
@@ -88,4 +96,6 @@ def summarize(
         eigvals, eigvecs = np.linalg.eigh(out)
         out = (eigvecs * np.maximum(eigvals, scaled_jitter_eps(prior_cov))) @ eigvecs.T
         sigma_bar = 0.5 * (out + out.T)
-    return _record(SummaryStats, mu_bar=mu_bar, sigma_bar=sigma_bar, n_obs=points.shape[0])
+        rung = -1
+    summary = _record(SummaryStats, mu_bar=mu_bar, sigma_bar=sigma_bar, n_obs=points.shape[0])
+    return summary, start if rung < 0 else rung

@@ -46,21 +46,29 @@ def check_symmetric(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def spd_repair(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Return ``(m + delta * I, L)`` with the smallest escalating jitter that factorizes.
+def spd_repair(m: np.ndarray, start: int = -1) -> tuple[np.ndarray, np.ndarray, int]:
+    """Return ``(m + delta * I, L, rung)`` with the smallest escalating jitter that factorizes.
 
     Attempt 0 factors ``m`` itself, so positive-definite input is returned
-    unchanged (the same array) with its own factor. Otherwise ``delta`` is the
-    smallest rung of ``{eps, 10*eps, ..., 1e11*eps}`` whose Cholesky succeeds,
-    with ``eps = scaled_jitter_eps(m)``, and ``L`` is the lower factor that
-    attempt computed.
+    unchanged (the same array) with its own factor and rung -1. Otherwise
+    ``delta = eps * 10**rung`` is the smallest rung of ``{eps, 10*eps, ...,
+    1e11*eps}`` whose Cholesky succeeds, with ``eps = scaled_jitter_eps(m)``,
+    and ``L`` is the lower factor that attempt computed.
 
-    The rung is found by bisection, not by climbing the ladder. That relies on
+    The rung is found by search, not by climbing the ladder. That relies on
     monotonicity: if ``m + delta * I`` factorizes, so does ``m + delta' * I``
     for every ``delta' > delta``, since adding a positive multiple of the
-    identity raises every eigenvalue. Each candidate is the same expression the
-    sequential ladder would form, so the result is the same bits, and a call
-    makes at most 5 factorization attempts (attempt 0 plus ceil(log2 13)).
+    identity raises every eigenvalue. ``start`` is a warm start, the rung a
+    similar matrix settled on before (the run loop passes the previous
+    iteration's). A rung in ``0 .. 11`` is probed first; if it factorizes,
+    the rung below it is probed next, so a repeat of the same rung costs two
+    attempts. Whatever is left is bisected, as is the whole ladder when
+    ``start`` is -1. Each candidate is the same expression the sequential
+    ladder would form, and monotonicity makes the smallest rung the same
+    whatever the probe order, so every ``start`` gives the same bits. A call
+    makes at most 5 factorization attempts cold (attempt 0 plus
+    ceil(log2 13)) and at most 7 warm (attempt 0, ``start``, ``start - 1``,
+    then ceil(log2 11) to bisect the rest).
 
     The caller guarantees that ``m`` is a float64 square matrix and exactly
     symmetric, and nothing here checks it: the run loop passes the belief's
@@ -76,10 +84,10 @@ def spd_repair(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     RepairFailed
         When no rung factorizes, signalling an irrecoverably broken matrix.
     """
-    if not np.isfinite(m).all():
+    if not np.logical_and.reduce(np.isfinite(m), axis=None):
         raise ValueError("matrix entries must be finite")
     try:
-        return m, np.linalg.cholesky(m)
+        return m, np.linalg.cholesky(m), -1
     except np.linalg.LinAlgError:
         pass
     eps = scaled_jitter_eps(m)
@@ -87,14 +95,16 @@ def spd_repair(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # invariant: every rung below lo fails; rung hi succeeds (hi == _RUNGS: none found yet)
     lo, hi = 0, _RUNGS
     found = None
+    power = start if 0 <= start < _RUNGS else (lo + hi) // 2
     while lo < hi:
-        power = (lo + hi) // 2
         repaired = m + eps * 10.0**power * eye
         try:
-            found = repaired, np.linalg.cholesky(repaired)
+            found = repaired, np.linalg.cholesky(repaired), power
             hi = power
         except np.linalg.LinAlgError:
             lo = power + 1
+        # right after the warm start factorizes, the rung below it decides whether it is the smallest
+        power = hi - 1 if hi == start else (lo + hi) // 2
     if found is None:
         raise RepairFailed(
             f"matrix not positive definite at any of {_RUNGS} jitter rungs (eps={eps})")
@@ -109,7 +119,7 @@ def scaled_jitter_eps(m: np.ndarray) -> float:
     base is scaled by the largest diagonal magnitude.
     """
     m = np.asarray(m, dtype=float)
-    scale = float(np.abs(m.diagonal()).max()) if m.size else 1.0
+    scale = float(np.maximum.reduce(np.abs(m.diagonal()))) if m.size else 1.0
     return _JITTER_BASE * max(1.0, scale)
 
 

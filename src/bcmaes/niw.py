@@ -100,7 +100,12 @@ class SummaryStats:
 
 
 def _record(cls, **fields):
-    """Build ``cls`` from normalized, certified values, skipping its ``__post_init__`` checks."""
+    """Build the frozen dataclass ``cls`` from every one of its fields, bypassing ``__init__``.
+
+    The values must already be normalized and certified: no ``__post_init__``
+    check runs. The record stays frozen, since only construction is skipped.
+    The run loop builds its per-iteration records this way.
+    """
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
@@ -141,8 +146,15 @@ def posterior_update(p: NiwParams, s: SummaryStats) -> NiwParams:
     :func:`~bcmaes.linalg.spd_repair` of the expected covariance, which rejects a non-finite one.
     """
     n = s.n_obs
+    kappa = p.kappa
+    # in place, in the order of the formulas above, so the bits are those of the plain expressions
+    mu_new = kappa * p.mu
+    mu_new += n * s.mu_bar
+    mu_new /= kappa + n
     shift = s.mu_bar - p.mu
-    mu_new = (p.kappa * p.mu + n * s.mu_bar) / (p.kappa + n)
-    psi_new = p.psi + s.sigma_bar + (p.kappa * n) / (p.kappa + n) * (shift[:, None] * shift)
+    outer = shift[:, None] * shift
+    outer *= (kappa * n) / (kappa + n)
+    psi_new = p.psi + s.sigma_bar
+    psi_new += outer
     psi_new = 0.5 * (psi_new + psi_new.T)
-    return _record(NiwParams, mu=mu_new, kappa=p.kappa + n, nu=p.nu + n, psi=psi_new)
+    return _record(NiwParams, mu=mu_new, kappa=kappa + n, nu=p.nu + n, psi=psi_new)

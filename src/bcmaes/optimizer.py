@@ -17,10 +17,8 @@ covariance is always the belief's expected covariance.
 from __future__ import annotations
 
 import math
-from concurrent.futures import Executor, ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
@@ -37,6 +35,9 @@ from .restart import (
     step_restart,
 )
 from .rng import RandomSource
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
 
 STOP_CONTROLLER = "ControllerTerminate"
 STOP_MAX_ITER = "MaxIter"
@@ -77,6 +78,15 @@ class OptimizerConfig:
 
     def __post_init__(self):
         # the run's one boundary check: the loop trusts every value derived from these
+        for name in ("dim", "popsize", "max_iter", "stall_limit", "seed"):
+            value = getattr(self, name)
+            if value is None and name == "popsize":
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        if not (0 <= self.seed < 2**64):
+            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         x0 = np.asarray(self.x0, dtype=float)
         if x0.shape != (self.dim,):
             raise ValueError(f"x0 must have shape ({self.dim},), got {x0.shape}")
@@ -170,15 +180,14 @@ def _evaluate(points: np.ndarray, objective, pool: Optional[Executor]) -> tuple[
     a pool. NaN results lose every comparison instead of aborting the run.
     Returns (fitness, nan count).
     """
-    if pool is not None:
-        raw = np.fromiter(pool.map(objective, points), dtype=float, count=len(points))
-    else:
-        raw = np.fromiter((objective(p) for p in points), dtype=float, count=len(points))
+    evaluations = map(objective, points) if pool is None else pool.map(objective, points)
+    raw = np.fromiter(evaluations, dtype=float, count=len(points))
+    # isnan, not a NaN sum: a sum of large finite fitness overflows and warns
     nan_mask = np.isnan(raw)
-    if nan_mask.any():
-        raw = raw.copy()
-        raw[nan_mask] = np.inf
-    return raw, int(nan_mask.sum())
+    if not np.logical_or.reduce(nan_mask):
+        return raw, 0
+    raw[nan_mask] = np.inf
+    return raw, np.count_nonzero(nan_mask)
 
 
 def _softmax(q: np.ndarray) -> np.ndarray:
@@ -187,8 +196,10 @@ def _softmax(q: np.ndarray) -> np.ndarray:
     After the shift every exponent is at most 0 and the largest term is
     exactly 1, so nothing overflows and the sum lies in ``[1, len(q)]``.
     """
-    e = np.exp(q - q.max())
-    return e / e.sum()
+    e = q - np.maximum.reduce(q)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e)
+    return e
 
 
 def _strategy_at(config: OptimizerConfig, t: int) -> str:
@@ -225,8 +236,13 @@ def run(
         Also raised when a population's scatter overflows, so that its
         covariance estimate is not finite.
     """
+    if not config.parallel_eval:
+        return _run(config, objective, callback, None)
+    # imported here, so that importing the package does not load concurrent.futures
+    from concurrent.futures import ThreadPoolExecutor
+
     # one pool per run: building one per iteration cost more than the evaluations
-    with ThreadPoolExecutor() if config.parallel_eval else nullcontext() as pool:
+    with ThreadPoolExecutor() as pool:
         return _run(config, objective, callback, pool)
 
 
@@ -246,14 +262,16 @@ def _run(
     nan_evals = 0
     belief_cov = expected_covariance(state)
     var_norm_tol = config.var_norm_tol * config.sigma0**2
+    # the jitter rung of the last covariance estimate, the warm start of the next one's repair
+    rung = -1
 
     for t in range(1, config.max_iter + 1):
         mean = expected_mean(state)
         try:
-            cov, chol = spd_repair(belief_cov)
+            cov, chol, _ = spd_repair(belief_cov)
         except (RepairFailed, ValueError) as exc:  # a ValueError here means non-finite
             raise PriorDegeneracy(f"belief covariance degenerate at iteration {t}") from exc
-        if not np.isfinite(mean).all():
+        if not np.logical_and.reduce(np.isfinite(mean)):
             # the mean update's kappa * mu + n * mu_bar overflows for |mu| near the float range
             raise PriorDegeneracy(f"belief mean not finite at iteration {t}")
         points, z = _sample(mean, chol, k, rng)
@@ -265,9 +283,10 @@ def _run(
         with np.errstate(over="ignore", invalid="ignore"):
             # x = mean + chol @ z has density exp(-|z|**2 / 2) / ((2 pi)**(d/2) det chol);
             # the constant is common to the population and cancels in the weights
-            weights = _softmax(-0.5 * (z * z).sum(axis=1))
+            weights = _softmax(-0.5 * np.add.reduce(z * z, axis=1))
             try:
-                summary = summarize(points, fitness, weights, mean, cov, _strategy_at(config, t))
+                summary, rung = summarize(points, fitness, weights, mean, cov,
+                                          _strategy_at(config, t), rung)
             except np.linalg.LinAlgError:
                 raise  # an eigh that does not converge is not an overflow
             except ValueError as exc:  # its inputs are certified: the scatter overflowed
@@ -275,9 +294,9 @@ def _run(
             state_before = state
             state = posterior_update(state, summary)
 
-            i_best = int(np.argmin(fitness))
-            controller, decision = step_restart(controller, points[i_best],
-                                                float(fitness[i_best]), cov)
+            i_best = fitness.argmin()
+            f_best_iter = float(fitness[i_best])
+            controller, decision = step_restart(controller, points[i_best], f_best_iter, cov)
             event = "none"
             if decision.action == TERMINATE:
                 event = "terminate-signal"
@@ -297,10 +316,12 @@ def _run(
             # the next iteration samples from this same expected covariance
             belief_cov = expected_covariance(state)
             cov_norm = frobenius_norm(belief_cov)
+        # the records are frozen, but built without the dataclass __init__
         trace.append(
-            IterationTrace(
+            _record(
+                IterationTrace,
                 iter=t,
-                f_best_iter=float(fitness[i_best]),
+                f_best_iter=f_best_iter,
                 f_min_so_far=controller.f_min,
                 expected_mean=expected_mean(state),
                 cov_frobenius_norm=cov_norm,
@@ -310,7 +331,8 @@ def _run(
         )
         if callback is not None:
             callback(
-                IterationObservation(
+                _record(
+                    IterationObservation,
                     iter=t,
                     points=points,
                     fitness=fitness,

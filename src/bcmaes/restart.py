@@ -10,12 +10,13 @@ improvement signals termination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import InvalidLevels
+from .niw import _record
 
 DEFAULT_LEVELS = (5, 20, 30, 40, 50)
 DEFAULT_FACTORS = (1.5, 0.9, 0.7, 0.5)
@@ -57,6 +58,11 @@ class RestartDecision:
     restart_point: Optional[np.ndarray] = None
     restart_sigma: Optional[np.ndarray] = None
     improved: bool = False
+
+
+# the decisions that carry no arrays are shared: records are frozen
+_IMPROVED = RestartDecision(action=CONTINUE, new_sigma_scale=1.0, improved=True)
+_TERMINATED = RestartDecision(action=TERMINATE)
 
 
 def init_restart(
@@ -114,7 +120,8 @@ def step_restart(
     l1, l2, l3, l4, l5 = state.levels
     k1, k2, k3, k4 = state.factors
     if f_best <= state.f_min:
-        new_state = RestartState(
+        new_state = _record(
+            RestartState,
             retrial=0,
             f_min=float(f_best),
             x_min=np.asarray(x_best, dtype=float).copy(),
@@ -122,12 +129,13 @@ def step_restart(
             levels=state.levels,
             factors=state.factors,
         )
-        return new_state, RestartDecision(action=CONTINUE, new_sigma_scale=1.0, improved=True)
+        return new_state, _IMPROVED
 
     retrial = state.retrial + 1
-    new_state = replace(state, retrial=retrial)
+    new_state = _record(RestartState, retrial=retrial, f_min=state.f_min, x_min=state.x_min,
+                        sigma_min=state.sigma_min, levels=state.levels, factors=state.factors)
     if retrial >= l5:
-        return new_state, RestartDecision(action=TERMINATE)
+        return new_state, _TERMINATED
 
     restart_point = None
     restart_sigma = None
@@ -145,7 +153,8 @@ def step_restart(
         scale = k3
     else:
         scale = k4
-    return new_state, RestartDecision(
+    return new_state, _record(
+        RestartDecision,
         action=CONTINUE,
         new_sigma_scale=scale,
         restart_point=restart_point,

@@ -7,7 +7,7 @@ fixed for the lifetime of the repository:
 1. raw 64-bit integers come from the PCG64 bit generator (a permuted
    congruential generator whose raw stream numpy guarantees stable);
 2. each raw word maps to a uniform in (0, 1) via the top 53 bits,
-   ``u = (raw >> 11 + 0.5) * 2**-53``, which is never 0. It is 1 for the
+   ``u = ((raw >> 11) + 0.5) * 2**-53``, which is never 0. It is 1 for the
    largest top-53-bit value, ``2**53 - 1``, where adding 0.5 rounds up, so
    about one word in ``2**53`` yields the normal ``+inf``;
 3. normals are the inverse normal CDF of those uniforms, computed by Cephes'

@@ -74,10 +74,15 @@ def test_names_the_benchmark_harness_calls():
 
 
 def test_runtime_imports_no_scipy():
-    # scipy is a test dependency only: the package, its CLI and its plotting run on numpy
+    # scipy is a test dependency only: the package, its CLI and its plotting run
+    # on numpy. The thread pool of parallel_eval is imported by the run that
+    # asks for it, so the package alone loads neither concurrent.futures nor
+    # the logging it pulls in.
     src = Path(__file__).resolve().parent.parent / "src"
-    code = ("import sys, bcmaes, bcmaes.cli, bcmaes.plotting; "
+    code = ("import sys, bcmaes; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'logging'))); "
+            "import bcmaes.cli, bcmaes.plotting; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
                          capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "[]"
+    assert out.splitlines() == ["[]", "[]"]

@@ -19,7 +19,7 @@ def _summary(points, fitness, densities, prior_mean, prior_cov, strategy):
     densities = np.asarray(densities, dtype=float)
     return summarize(np.asarray(points, dtype=float), np.asarray(fitness, dtype=float),
                      densities / densities.sum(), np.asarray(prior_mean, dtype=float),
-                     np.asarray(prior_cov, dtype=float), strategy)
+                     np.asarray(prior_cov, dtype=float), strategy)[0]
 
 
 def _s1_mean(points, fitness, densities, prior_mean):
@@ -83,7 +83,7 @@ class TestRankCandidates:
             # point 2 is the denser, though it comes later: pairs (2, 0.5), (1, 0.375), (0, 0.125)
             ([0.5, 0.125, 0.375], 0.5),
         ):
-            s = summarize(points, fitness, np.array(weights), np.zeros(1), np.eye(1), "s1")
+            s = summarize(points, fitness, np.array(weights), np.zeros(1), np.eye(1), "s1")[0]
             assert s.mu_bar[0] == expected
 
     def test_two_point_swap(self):

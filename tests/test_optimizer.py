@@ -2,7 +2,7 @@
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from unittest import mock
 
 import numpy as np
@@ -94,13 +94,34 @@ class TestConfig:
         ("x0", np.array([10.0, np.inf]), "finite"),
         ("var_norm_tol", np.nan, "positive"),
         ("var_norm_tol", 0.0, "positive"),
+        ("dim", 2.0, "dim must be an integer"),
+        ("popsize", 6.5, "popsize must be an integer"),
+        ("popsize", 6.0, "popsize must be an integer"),
+        ("max_iter", 10.5, "max_iter must be an integer"),
+        ("stall_limit", 3.0, "stall_limit must be an integer"),
+        ("seed", 1.5, "seed must be an integer"),
+        ("seed", "1", "seed must be an integer"),
+        ("seed", True, "seed must be an integer"),
+        ("seed", -1, "unsigned 64-bit"),
+        ("seed", 2**64, "unsigned 64-bit"),
     ], ids=["sigma0-nan", "sigma0-inf", "sigma0-zero", "sigma0-negative", "sigma0-scale-overflow",
             "sigma0-square-overflow", "sigma0-scale-underflow", "x0-nan", "x0-inf",
-            "var_norm_tol-nan", "var_norm_tol-zero"])
+            "var_norm_tol-nan", "var_norm_tol-zero", "dim-float", "popsize-fraction",
+            "popsize-float", "max_iter-fraction", "stall_limit-float", "seed-fraction", "seed-str",
+            "seed-bool", "seed-negative", "seed-too-large"])
     def test_rejected_at_construction(self, field, value, message):
         # the run boundary: nothing past the config re-checks these
         with pytest.raises(ValueError, match=message):
             _cone_config(**{field: value})
+
+    def test_numpy_integers_accepted_as_python_ints(self):
+        cfg = _cone_config(dim=np.int64(2), popsize=np.int32(6), max_iter=np.uint8(3),
+                           stall_limit=np.int16(9), seed=np.uint64(2**64 - 1))
+        assert (cfg.dim, cfg.popsize, cfg.max_iter, cfg.stall_limit, cfg.seed) == (
+            2, 6, 3, 9, 2**64 - 1)
+        assert all(type(v) is int for v in (cfg.dim, cfg.popsize, cfg.max_iter, cfg.stall_limit,
+                                              cfg.seed))
+        assert run(cfg, cone).iterations == 3
 
     def test_largest_finite_prior_scale_accepted(self):
         assert _cone_config(sigma0=9e153).sigma0 == 9e153
@@ -184,6 +205,17 @@ class TestBudget:
         assert not failed  # no jitter rung was climbed
         assert chol.call_count == 2 * result.iterations
 
+    def test_warm_started_jitter_search_factorization_count(self):
+        # popsize 15 < d = 40: the covariance estimate's repair fires in most
+        # iterations, and each search starts at the rung the last one settled
+        # on. A search from scratch every time made 346 attempts here.
+        spec = registry_lookup("cone", 40)
+        cfg = OptimizerConfig(dim=40, x0=spec.default_x0, popsize=15, max_iter=60, seed=3)
+        with mock.patch.object(np.linalg, "cholesky", wraps=np.linalg.cholesky) as chol:
+            result = run(cfg, spec.fn)
+        assert result.iterations == 60
+        assert chol.call_count == 261
+
     def test_loop_builds_records_unchecked(self, monkeypatch):
         # the loop validates once, at the run boundary: only init_prior's belief
         # runs the checks of a public constructor
@@ -197,6 +229,18 @@ class TestBudget:
         assert result.iterations == 40
         assert calls == {"NiwParams": 1}
 
+    def test_loop_records_stay_frozen(self):
+        seen = []
+        result = run(_cone_config(max_iter=30), cone, callback=seen.append)
+        records = [result.trace[-1], seen[-1], seen[-1].state_after, seen[-1].decision]
+        for record, field in zip(records, ("f_best_iter", "points", "psi", "new_sigma_scale")):
+            with pytest.raises(FrozenInstanceError):
+                setattr(record, field, None)
+            with pytest.raises(FrozenInstanceError):
+                setattr(record, "extra", None)
+        assert type(result.trace[-1]).__name__ == "IterationTrace"
+        assert isinstance(seen[-1], IterationObservation)
+
 
 class TestWeights:
     @pytest.mark.parametrize("dim,sigma0", [(2, 1.0), (100, 1e3), (100, 1e-4)])
@@ -208,9 +252,9 @@ class TestWeights:
         seen = []
         real = optimizer.summarize
 
-        def capture(points, fitness, weights, mean, cov, strategy):
+        def capture(points, fitness, weights, mean, cov, strategy, start):
             seen.append((points, weights, mean, cov))
-            return real(points, fitness, weights, mean, cov, strategy)
+            return real(points, fitness, weights, mean, cov, strategy, start)
 
         monkeypatch.setattr(optimizer, "summarize", capture)
         spec = registry_lookup("cone", dim)

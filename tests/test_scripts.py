@@ -111,6 +111,13 @@ def test_comparator_sees_a_lost_rastrigin_crossing(tmp_path):
     assert "WORSE" in line.split("crossed ")[1]
 
 
+def _load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
 def _check_ndtri(*args):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     return subprocess.run([sys.executable, str(ROOT / "scripts" / "check_ndtri.py"), *args],
@@ -126,11 +133,36 @@ def test_check_ndtri_passes_the_port():
 
 
 def test_check_ndtri_fails_on_a_one_ulp_difference(monkeypatch, capsys):
-    spec = importlib.util.spec_from_file_location("check_ndtri", ROOT / "scripts" / "check_ndtri.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = _load_script("check_ndtri")
     exact = script.ndtri
     monkeypatch.setattr(script, "ndtri", lambda u: np.nextafter(exact(u), np.inf))
     monkeypatch.setattr(sys, "argv", ["check_ndtri.py", "1000"])
     assert script.main() == 1
     assert "stream: 1000 variates of seed 1, 1000 mismatches" in capsys.readouterr().out
+
+
+def test_hash_traces_compares_equal_runs_and_sees_a_one_ulp_change(tmp_path, monkeypatch, capsys):
+    script = _load_script("hash_traces")
+    assert len(script.RUNS) == len({r.key for r in script.RUNS}) == 196
+    # one d=2 run and one d=40 run with popsize 15 < d, shortened
+    subset = [script.RUNS[0]._replace(max_iter=40),
+              next(r for r in script.RUNS if r.dim == 40)._replace(max_iter=20)]
+    base = tmp_path / "base.json"
+    again = tmp_path / "again.json"
+    moved = tmp_path / "moved.json"
+    base.write_text(json.dumps(script.hash_runs(subset)))
+    again.write_text(json.dumps(script.hash_runs(subset)))
+    assert script.main(["--compare", str(base), str(again)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "2/2 equal"
+
+    # one ulp on every covariance norm of the d=40 run alone
+    from bcmaes import optimizer
+
+    exact = optimizer.frobenius_norm
+    monkeypatch.setattr(optimizer, "frobenius_norm",
+                        lambda m: np.nextafter(exact(m), np.inf) if m.shape[0] == 40 else exact(m))
+    moved.write_text(json.dumps(script.hash_runs(subset)))
+    assert script.main(["--compare", str(base), str(moved)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out == [f"{subset[1].key}: differs", "1/2 equal"]
+
