@@ -10,7 +10,6 @@ from .benchmarks import BenchmarkSpec, cone, rastrigin, registry_lookup, schwefe
 from .errors import (
     BcmaesError,
     DegreesOfFreedomTooLow,
-    InvalidLevels,
     InvariantViolation,
     PriorDegeneracy,
     RepairFailed,
@@ -28,8 +27,6 @@ from .optimizer import (
     run,
 )
 from .restart import (
-    DEFAULT_FACTORS,
-    DEFAULT_LEVELS,
     RestartDecision,
     RestartState,
     init_restart,
@@ -43,9 +40,6 @@ __all__ = [
     "BcmaesError",
     "BenchmarkSpec",
     "DegreesOfFreedomTooLow",
-    "DEFAULT_FACTORS",
-    "DEFAULT_LEVELS",
-    "InvalidLevels",
     "InvariantViolation",
     "IterationTrace",
     "NiwParams",

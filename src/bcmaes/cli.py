@@ -66,20 +66,20 @@ def parse_args(argv: Sequence[str]) -> RunSpec:
             x0 = np.array([float(v) for v in ns.x0.split(",")])
         except ValueError:
             parser.error(f"--x0 must be a comma-separated number list, got {ns.x0!r}")
-        if x0.shape != (ns.dim,):
-            parser.error(f"--x0 has {x0.size} coordinates but --dim is {ns.dim}")
+    seeds = tuple(ns.seed) if ns.seed else (0,)
     start = x0 if x0 is not None else registry_lookup(ns.function, ns.dim).default_x0
     try:
-        # the run configuration's own checks, once, before any run starts
-        OptimizerConfig(dim=ns.dim, x0=start, sigma0=ns.sigma0, popsize=ns.popsize,
-                        max_iter=ns.max_iter, strategy=ns.strategy)
+        # the run configuration's own checks, once per seed, before any run starts
+        for seed in seeds:
+            OptimizerConfig(dim=ns.dim, x0=start, sigma0=ns.sigma0, popsize=ns.popsize,
+                            max_iter=ns.max_iter, strategy=ns.strategy, seed=seed)
     except ValueError as exc:
         parser.error(str(exc))
     return RunSpec(
         function=ns.function,
         dim=ns.dim,
         strategy=ns.strategy,
-        seeds=tuple(ns.seed) if ns.seed else (0,),
+        seeds=seeds,
         popsize=ns.popsize,
         max_iter=ns.max_iter,
         sigma0=ns.sigma0,

@@ -17,10 +17,6 @@ class InvariantViolation(BcmaesError):
     """A belief-state invariant (positivity, symmetry, definiteness) was broken."""
 
 
-class InvalidLevels(BcmaesError):
-    """Restart level thresholds must be strictly increasing."""
-
-
 class PriorDegeneracy(BcmaesError):
     """The belief covariance became irrecoverably degenerate mid-run."""
 

@@ -26,14 +26,7 @@ from .errors import PriorDegeneracy, RepairFailed
 from .likelihood import STRATEGIES, summarize
 from .linalg import _sample, frobenius_norm, spd_repair
 from .niw import NiwParams, _record, expected_covariance, expected_mean, posterior_update
-from .restart import (
-    DEFAULT_FACTORS,
-    DEFAULT_LEVELS,
-    TERMINATE,
-    RestartDecision,
-    init_restart,
-    step_restart,
-)
+from .restart import TERMINATE, RestartDecision, init_restart, step_restart
 from .rng import RandomSource
 
 if TYPE_CHECKING:
@@ -70,9 +63,6 @@ class OptimizerConfig:
     stall_limit: int = 60
     var_norm_tol: float = 1e-12
     strategy: str = "s2"
-    strategy_switch_iter: Optional[int] = None
-    levels: tuple[int, int, int, int, int] = DEFAULT_LEVELS
-    factors: tuple[float, float, float, float] = DEFAULT_FACTORS
     seed: int = 0
     parallel_eval: bool = False
 
@@ -85,6 +75,8 @@ class OptimizerConfig:
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
+        if self.dim < 1:
+            raise ValueError("dim must be at least 1")
         if not (0 <= self.seed < 2**64):
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         x0 = np.asarray(self.x0, dtype=float)
@@ -202,12 +194,6 @@ def _softmax(q: np.ndarray) -> np.ndarray:
     return e
 
 
-def _strategy_at(config: OptimizerConfig, t: int) -> str:
-    if config.strategy_switch_iter is None or t <= config.strategy_switch_iter:
-        return config.strategy
-    return "s1" if config.strategy == "s2" else "s2"
-
-
 def run(
     config: OptimizerConfig,
     objective: Callable[[np.ndarray], float],
@@ -255,7 +241,7 @@ def _run(
     k = config.k
     d = config.dim
     state = init_prior(config.x0, config.sigma0, d)
-    controller = init_restart(config.levels, config.factors)
+    controller = init_restart()
     rng = RandomSource(config.seed)
     trace: list[IterationTrace] = []
     stop_reason: Optional[str] = None
@@ -285,8 +271,8 @@ def _run(
             # the constant is common to the population and cancels in the weights
             weights = _softmax(-0.5 * np.add.reduce(z * z, axis=1))
             try:
-                summary, rung = summarize(points, fitness, weights, mean, cov,
-                                          _strategy_at(config, t), rung)
+                summary, rung = summarize(points, fitness, weights, mean, cov, config.strategy,
+                                          rung)
             except np.linalg.LinAlgError:
                 raise  # an eigh that does not converge is not an overflow
             except ValueError as exc:  # its inputs are certified: the scatter overflowed

@@ -15,11 +15,11 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidLevels
 from .niw import _record
 
-DEFAULT_LEVELS = (5, 20, 30, 40, 50)
-DEFAULT_FACTORS = (1.5, 0.9, 0.7, 0.5)
+# the ladder: retrial levels L1 < ... < L5, dilatation K1 > 1, contractions K2 >= K3 >= K4
+_L1, _L2, _L3, _L4, _L5 = 5, 20, 30, 40, 50
+_K1, _K2, _K3, _K4 = 1.5, 0.9, 0.7, 0.5
 
 _F_SENTINEL = float(np.finfo(float).max)
 
@@ -29,19 +29,12 @@ TERMINATE = "terminate"
 
 @dataclass(frozen=True)
 class RestartState:
-    """Controller memory: stall counter, best-seen record, and the ladder tables."""
+    """Controller memory: stall counter and best-seen record."""
 
     retrial: int
     f_min: float
     x_min: Optional[np.ndarray]
     sigma_min: Optional[np.ndarray]
-    levels: tuple[int, int, int, int, int]
-    factors: tuple[float, float, float, float]
-
-    @property
-    def restart_level(self) -> int:
-        """The retrial count at which the search recenters on the best point."""
-        return self.levels[1]
 
 
 @dataclass(frozen=True)
@@ -57,47 +50,21 @@ class RestartDecision:
     new_sigma_scale: Optional[float] = None
     restart_point: Optional[np.ndarray] = None
     restart_sigma: Optional[np.ndarray] = None
-    improved: bool = False
 
 
 # the decisions that carry no arrays are shared: records are frozen
-_IMPROVED = RestartDecision(action=CONTINUE, new_sigma_scale=1.0, improved=True)
+_IMPROVED = RestartDecision(action=CONTINUE, new_sigma_scale=1.0)
 _TERMINATED = RestartDecision(action=TERMINATE)
 
 
-def init_restart(
-    levels: tuple[int, int, int, int, int] = DEFAULT_LEVELS,
-    factors: tuple[float, float, float, float] = DEFAULT_FACTORS,
-) -> RestartState:
+def init_restart() -> RestartState:
     """Fresh controller state: zero retrials and a max-float best record.
 
     The best-fitness record starts at the largest finite float, so the first
     evaluated candidate always registers and ``x_min`` is guaranteed to be set
     from iteration one onward.
-
-    Raises
-    ------
-    InvalidLevels
-        If the level thresholds are not strictly increasing, the dilatation
-        factor is not > 1, or the contraction factors are not in (0, 1) and
-        non-increasing.
     """
-    l1, l2, l3, l4, l5 = levels
-    if not (0 < l1 < l2 < l3 < l4 < l5):
-        raise InvalidLevels(f"levels must be strictly increasing and positive, got {levels}")
-    k1, k2, k3, k4 = factors
-    if not k1 > 1:
-        raise InvalidLevels(f"dilatation factor must exceed 1, got {k1}")
-    if not (0 < k4 <= k3 <= k2 < 1):
-        raise InvalidLevels(f"contraction factors must satisfy 0 < k4 <= k3 <= k2 < 1, got {factors}")
-    return RestartState(
-        retrial=0,
-        f_min=_F_SENTINEL,
-        x_min=None,
-        sigma_min=None,
-        levels=tuple(int(v) for v in levels),
-        factors=tuple(float(v) for v in factors),
-    )
+    return RestartState(retrial=0, f_min=_F_SENTINEL, x_min=None, sigma_min=None)
 
 
 def step_restart(
@@ -110,15 +77,17 @@ def step_restart(
 
     An improving step (``f_best <= f_min``, so plateaus count) records the
     new optimum together with ``sigma`` (the covariance in effect when it was
-    found) and resets the counter. Otherwise the counter increments and the
-    ladder fires on the incremented value: up to L1 nothing happens; strictly
-    between L1 and L2 the variance dilates by k1; exactly at L2 the decision
-    additionally carries the recorded restart point and covariance (the
-    counter keeps running); [L2, L3) contracts by k2, [L3, L4) by k3,
-    [L4, L5) by k4; at L5 the controller signals termination.
+    found) and resets the counter, so a step improved exactly when the
+    returned state has ``retrial == 0``. Otherwise the counter increments and
+    the ladder fires on the incremented value: up to ``_L1`` nothing happens;
+    strictly between ``_L1`` and ``_L2`` the variance dilates by ``_K1``;
+    exactly at ``_L2`` the decision additionally carries the recorded restart
+    point and covariance (the counter keeps running); [``_L2``, ``_L3``)
+    contracts by ``_K2``, [``_L3``, ``_L4``) by ``_K3``, [``_L4``, ``_L5``) by
+    ``_K4``; at ``_L5`` the controller signals termination. The module
+    constants fix the ladder at levels (5, 20, 30, 40, 50) and factors
+    (1.5, 0.9, 0.7, 0.5).
     """
-    l1, l2, l3, l4, l5 = state.levels
-    k1, k2, k3, k4 = state.factors
     if f_best <= state.f_min:
         new_state = _record(
             RestartState,
@@ -126,38 +95,35 @@ def step_restart(
             f_min=float(f_best),
             x_min=np.asarray(x_best, dtype=float).copy(),
             sigma_min=np.asarray(sigma, dtype=float).copy(),
-            levels=state.levels,
-            factors=state.factors,
         )
         return new_state, _IMPROVED
 
     retrial = state.retrial + 1
     new_state = _record(RestartState, retrial=retrial, f_min=state.f_min, x_min=state.x_min,
-                        sigma_min=state.sigma_min, levels=state.levels, factors=state.factors)
-    if retrial >= l5:
+                        sigma_min=state.sigma_min)
+    if retrial >= _L5:
         return new_state, _TERMINATED
 
     restart_point = None
     restart_sigma = None
-    if retrial == l2 and state.x_min is not None:
+    if retrial == _L2 and state.x_min is not None:
         restart_point = state.x_min.copy()
         restart_sigma = state.sigma_min.copy()
 
-    if retrial <= l1:
+    if retrial <= _L1:
         scale = 1.0
-    elif retrial < l2:
-        scale = k1
-    elif retrial < l3:
-        scale = k2
-    elif retrial < l4:
-        scale = k3
+    elif retrial < _L2:
+        scale = _K1
+    elif retrial < _L3:
+        scale = _K2
+    elif retrial < _L4:
+        scale = _K3
     else:
-        scale = k4
+        scale = _K4
     return new_state, _record(
         RestartDecision,
         action=CONTINUE,
         new_sigma_scale=scale,
         restart_point=restart_point,
         restart_sigma=restart_sigma,
-        improved=False,
     )

@@ -15,9 +15,6 @@ PUBLIC = [
     "BcmaesError",
     "BenchmarkSpec",
     "DegreesOfFreedomTooLow",
-    "DEFAULT_FACTORS",
-    "DEFAULT_LEVELS",
-    "InvalidLevels",
     "InvariantViolation",
     "IterationTrace",
     "NiwParams",
@@ -50,6 +47,13 @@ PUBLIC = [
 
 def test_all_is_pinned():
     assert bcmaes.__all__ == PUBLIC
+
+
+def test_config_fields_are_pinned():
+    # a new run knob is an API change: it must show up here
+    assert [f.name for f in dataclasses.fields(bcmaes.OptimizerConfig)] == [
+        "dim", "x0", "sigma0", "popsize", "max_iter", "stall_limit", "var_norm_tol", "strategy",
+        "seed", "parallel_eval"]
 
 
 def test_every_exported_name_resolves():

@@ -23,7 +23,6 @@ from bcmaes.optimizer import (
     init_prior,
     run,
     _evaluate,
-    _strategy_at,
 )
 from bcmaes.rng import RandomSource
 
@@ -95,6 +94,7 @@ class TestConfig:
         ("var_norm_tol", np.nan, "positive"),
         ("var_norm_tol", 0.0, "positive"),
         ("dim", 2.0, "dim must be an integer"),
+        ("dim", -1, "dim must be at least 1"),
         ("popsize", 6.5, "popsize must be an integer"),
         ("popsize", 6.0, "popsize must be an integer"),
         ("max_iter", 10.5, "max_iter must be an integer"),
@@ -106,13 +106,19 @@ class TestConfig:
         ("seed", 2**64, "unsigned 64-bit"),
     ], ids=["sigma0-nan", "sigma0-inf", "sigma0-zero", "sigma0-negative", "sigma0-scale-overflow",
             "sigma0-square-overflow", "sigma0-scale-underflow", "x0-nan", "x0-inf",
-            "var_norm_tol-nan", "var_norm_tol-zero", "dim-float", "popsize-fraction",
-            "popsize-float", "max_iter-fraction", "stall_limit-float", "seed-fraction", "seed-str",
-            "seed-bool", "seed-negative", "seed-too-large"])
+            "var_norm_tol-nan", "var_norm_tol-zero", "dim-float", "dim-negative",
+            "popsize-fraction", "popsize-float", "max_iter-fraction", "stall_limit-float",
+            "seed-fraction", "seed-str", "seed-bool", "seed-negative", "seed-too-large"])
     def test_rejected_at_construction(self, field, value, message):
         # the run boundary: nothing past the config re-checks these
         with pytest.raises(ValueError, match=message):
             _cone_config(**{field: value})
+
+    @pytest.mark.parametrize("popsize", [None, 4], ids=["default-popsize", "popsize-4"])
+    def test_zero_dim_rejected_at_construction(self, popsize):
+        # both must fail here: the default popsize takes log(dim), and run() needs a nonempty mean
+        with pytest.raises(ValueError, match="dim must be at least 1"):
+            _cone_config(dim=0, x0=np.zeros(0), popsize=popsize)
 
     def test_numpy_integers_accepted_as_python_ints(self):
         cfg = _cone_config(dim=np.int64(2), popsize=np.int32(6), max_iter=np.uint8(3),
@@ -131,12 +137,6 @@ class TestConfig:
         seen = []
         run(_cone_config(sigma0=1e-150, max_iter=1), cone, callback=seen.append)
         assert np.array_equal(seen[0].sampled_cov, 1e-300 * np.eye(2))
-
-    def test_strategy_schedule(self):
-        cfg = _cone_config(strategy="s2", strategy_switch_iter=3)
-        assert [_strategy_at(cfg, t) for t in (1, 3, 4, 10)] == ["s2", "s2", "s1", "s1"]
-        pure = _cone_config(strategy="s1")
-        assert _strategy_at(pure, 500) == "s1"
 
 
 class TestEvaluatePopulation:

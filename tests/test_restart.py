@@ -1,19 +1,10 @@
 """The dilatation/contraction ladder and its best-seen memory."""
 
 import numpy as np
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bcmaes.errors import InvalidLevels
-from bcmaes.restart import (
-    CONTINUE,
-    DEFAULT_FACTORS,
-    DEFAULT_LEVELS,
-    TERMINATE,
-    init_restart,
-    step_restart,
-)
+from bcmaes.restart import CONTINUE, TERMINATE, init_restart, step_restart
 
 _SIGMA = np.eye(2)
 _POINT = np.array([1.0, 2.0])
@@ -35,27 +26,12 @@ class TestInit:
     def test_defaults_valid(self):
         state = init_restart()
         assert state.retrial == 0
-        assert state.levels == DEFAULT_LEVELS
-        assert state.factors == DEFAULT_FACTORS
-        assert state.restart_level == 20
         assert state.x_min is None
 
     def test_sentinel_dominates_any_finite_fitness(self):
         state = init_restart()
         assert np.isfinite(state.f_min)
         assert 1e300 <= state.f_min
-
-    def test_invalid_levels(self):
-        with pytest.raises(InvalidLevels):
-            init_restart(levels=(5, 5, 30, 40, 50))
-        with pytest.raises(InvalidLevels):
-            init_restart(levels=(20, 5, 30, 40, 50))
-
-    def test_invalid_factors(self):
-        with pytest.raises(InvalidLevels):
-            init_restart(factors=(0.9, 0.9, 0.7, 0.5))  # dilatation must exceed 1
-        with pytest.raises(InvalidLevels):
-            init_restart(factors=(1.5, 0.7, 0.9, 0.5))  # contractions must not increase
 
 
 class TestImprovement:
@@ -65,7 +41,6 @@ class TestImprovement:
         assert state.retrial == 8
         state, decision = step_restart(state, _POINT * 2, -1.0, 3 * _SIGMA)
         assert state.retrial == 0
-        assert decision.improved
         assert decision.new_sigma_scale == 1.0
         assert state.f_min == -1.0
         assert np.array_equal(state.x_min, _POINT * 2)
@@ -75,8 +50,8 @@ class TestImprovement:
         state = init_restart()
         state, _ = step_restart(state, _POINT, 5.0, _SIGMA)
         state, decision = step_restart(state, _POINT, 5.0, _SIGMA)
-        assert decision.improved
         assert state.retrial == 0
+        assert decision.new_sigma_scale == 1.0
 
     def test_f_min_monotone(self):
         rng = np.random.default_rng(0)
