@@ -19,8 +19,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .benchmarks import FUNCTION_NAMES, registry_lookup
+from .benchmarks import FUNCTION_NAMES, BenchmarkSpec, registry_lookup
 from .errors import SchemaError
+from .likelihood import STRATEGIES
 from .optimizer import IterationTrace, OptimizerConfig, run
 from .plotting import CSV_HEADER, emit_plot_data
 
@@ -48,7 +49,7 @@ def parse_args(argv: Sequence[str]) -> RunSpec:
     )
     parser.add_argument("--function", required=True, choices=FUNCTION_NAMES)
     parser.add_argument("--dim", type=int, default=2)
-    parser.add_argument("--strategy", choices=("s1", "s2"), default="s2")
+    parser.add_argument("--strategy", choices=STRATEGIES, default="s2")
     parser.add_argument("--seed", type=int, action="append",
                         help="repeatable; defaults to a single seed 0")
     parser.add_argument("--popsize", type=int, default=None)
@@ -58,34 +59,40 @@ def parse_args(argv: Sequence[str]) -> RunSpec:
                         help="comma-separated start point, e.g. '10,10'")
     parser.add_argument("--out", type=str, default=".")
     ns = parser.parse_args(list(argv))
-    if ns.dim < 1:
-        parser.error("--dim must be >= 1")
     x0 = None
     if ns.x0 is not None:
         try:
             x0 = np.array([float(v) for v in ns.x0.split(",")])
         except ValueError:
             parser.error(f"--x0 must be a comma-separated number list, got {ns.x0!r}")
-    seeds = tuple(ns.seed) if ns.seed else (0,)
-    start = x0 if x0 is not None else registry_lookup(ns.function, ns.dim).default_x0
-    try:
-        # the run configuration's own checks, once per seed, before any run starts
-        for seed in seeds:
-            OptimizerConfig(dim=ns.dim, x0=start, sigma0=ns.sigma0, popsize=ns.popsize,
-                            max_iter=ns.max_iter, strategy=ns.strategy, seed=seed)
-    except ValueError as exc:
-        parser.error(str(exc))
-    return RunSpec(
+    spec = RunSpec(
         function=ns.function,
         dim=ns.dim,
         strategy=ns.strategy,
-        seeds=seeds,
+        seeds=tuple(ns.seed) if ns.seed else (0,),
         popsize=ns.popsize,
         max_iter=ns.max_iter,
         sigma0=ns.sigma0,
         x0=x0,
         out_dir=ns.out,
     )
+    try:
+        _resolve(spec)
+    except ValueError as exc:
+        parser.error(str(exc))
+    return spec
+
+
+def _resolve(spec: RunSpec) -> tuple[BenchmarkSpec, list[OptimizerConfig]]:
+    """The spec's benchmark and every seed's run config; an invalid spec raises ``ValueError``."""
+    bench = registry_lookup(spec.function, spec.dim)
+    x0 = spec.x0 if spec.x0 is not None else bench.default_x0
+    configs = [
+        OptimizerConfig(dim=spec.dim, x0=x0, sigma0=spec.sigma0, popsize=spec.popsize,
+                        max_iter=spec.max_iter, strategy=spec.strategy, seed=seed)
+        for seed in spec.seeds
+    ]
+    return bench, configs
 
 
 def _fmt(x: float) -> str:
@@ -114,22 +121,17 @@ def write_trace_csv(path: str, trace: Sequence[IterationTrace], global_min_value
 
 
 def run_experiment(spec: RunSpec) -> int:
-    """Execute one seeded run per seed, emitting trace CSVs and summary.json."""
-    bench = registry_lookup(spec.function, spec.dim)
-    x0 = spec.x0 if spec.x0 is not None else bench.default_x0
+    """Execute one seeded run per seed, emitting trace CSVs and summary.json.
+
+    Every seed's config is checked first: an invalid spec raises ``ValueError`` and writes nothing.
+    """
+    bench, configs = _resolve(spec)
     summary = []
     try:
         os.makedirs(spec.out_dir, exist_ok=True)
-        for seed in spec.seeds:
-            config = OptimizerConfig(
-                dim=spec.dim,
-                x0=x0,
-                sigma0=spec.sigma0,
-                popsize=spec.popsize,
-                max_iter=spec.max_iter,
-                strategy=spec.strategy,
-                seed=seed,
-            )
+        for config in configs:
+            seed = config.seed
+            # the module-global run, so that a harness can replace cli.run
             result = run(config, bench.fn)
             csv_name = f"{spec.function}_{spec.strategy}_{seed}.csv"
             write_trace_csv(os.path.join(spec.out_dir, csv_name), result.trace,

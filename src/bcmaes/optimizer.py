@@ -35,7 +35,9 @@ if TYPE_CHECKING:
 STOP_CONTROLLER = "ControllerTerminate"
 STOP_MAX_ITER = "MaxIter"
 STOP_VAR_NORM = "VarNormSmall"
-STOP_STALL = "StallTerminated"
+
+# the run stops when the expected covariance's Frobenius norm falls below this times sigma0**2
+_VAR_NORM_TOL = 1e-12
 
 
 def default_popsize(dim: int) -> int:
@@ -45,30 +47,20 @@ def default_popsize(dim: int) -> int:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Run configuration; defaults reproduce the reference experiment setup.
-
-    ``var_norm_tol`` is relative to the initial scale: the run stops when the
-    expected covariance's Frobenius norm falls below ``var_norm_tol *
-    sigma0**2``, so a run started at a small ``sigma0`` does not stop at
-    once. This is a behaviour change from an absolute tolerance, which
-    stopped such runs after their first iteration; at ``sigma0 = 1`` the two
-    are the same comparison.
-    """
+    """Run configuration; defaults reproduce the reference experiment setup."""
 
     dim: int
     x0: np.ndarray
     sigma0: float = 1.0
     popsize: Optional[int] = None
     max_iter: int = 500
-    stall_limit: int = 60
-    var_norm_tol: float = 1e-12
     strategy: str = "s2"
     seed: int = 0
     parallel_eval: bool = False
 
     def __post_init__(self):
         # the run's one boundary check: the loop trusts every value derived from these
-        for name in ("dim", "popsize", "max_iter", "stall_limit", "seed"):
+        for name in ("dim", "popsize", "max_iter", "seed"):
             value = getattr(self, name)
             if value is None and name == "popsize":
                 continue
@@ -97,10 +89,6 @@ class OptimizerConfig:
             raise ValueError("popsize must be at least 2")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if not (self.var_norm_tol > 0):
-            raise ValueError("var_norm_tol must be positive")
-        if self.stall_limit < 1:
-            raise ValueError("stall_limit must be at least 1")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"strategy must be one of {STRATEGIES}")
 
@@ -201,10 +189,10 @@ def run(
 ) -> RunResult:
     """Minimize ``objective`` under the given configuration.
 
-    Stops on the first of: controller termination (a full contraction ladder
-    without improvement), the iteration cap, the expected-covariance
-    Frobenius norm falling below ``var_norm_tol * sigma0**2``, or ``stall_limit``
-    consecutive non-improving iterations. The objective is called exactly
+    Stops on the first of: controller termination (50 consecutive
+    non-improving iterations end its ladder), the iteration cap, or the
+    expected covariance's Frobenius norm falling below ``1e-12 * sigma0**2``,
+    a tolerance relative to the start scale. The objective is called exactly
     ``popsize`` times per iteration.
 
     Errors: an invalid configuration raises ``ValueError`` when the
@@ -247,7 +235,7 @@ def _run(
     stop_reason: Optional[str] = None
     nan_evals = 0
     belief_cov = expected_covariance(state)
-    var_norm_tol = config.var_norm_tol * config.sigma0**2
+    var_norm_tol = _VAR_NORM_TOL * config.sigma0**2
     # the jitter rung of the last covariance estimate, the warm start of the next one's repair
     rung = -1
 
@@ -333,9 +321,6 @@ def _run(
             break
         if cov_norm < var_norm_tol:
             stop_reason = STOP_VAR_NORM
-            break
-        if controller.retrial >= config.stall_limit:
-            stop_reason = STOP_STALL
             break
     if stop_reason is None:
         stop_reason = STOP_MAX_ITER

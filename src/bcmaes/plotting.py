@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+from collections import Counter
 from typing import Sequence
 
 from .errors import SchemaError
@@ -32,23 +33,16 @@ def _read_error_series(path: str) -> list[float]:
                 raise SchemaError(f"{path}:{lineno}: expected {len(CSV_HEADER)} fields")
             try:
                 int(row[0])
-                errors.append(float(row[3]))
+                error = float(row[3])
             except ValueError as exc:
                 raise SchemaError(f"{path}:{lineno}: unparseable numeric field") from exc
+            # -inf plots at the log floor; NaN and +inf have no coordinate
+            if math.isnan(error) or error == math.inf:
+                raise SchemaError(f"{path}:{lineno}: error_vs_min is {error!r}")
+            errors.append(error)
     if not errors:
         raise SchemaError(f"{path}: no data rows")
     return errors
-
-
-def _label_for(stem: str, total: dict[str, int]) -> tuple[str, str]:
-    parts = stem.rsplit("_", 2)
-    if len(parts) == 3 and parts[1] in _STRATEGY_COLORS:
-        _, strategy, seed = parts
-        label = f"B-CMA-ES {strategy.upper()}"
-        if total[strategy] > 1:
-            label += f" seed {seed}"
-        return label, _STRATEGY_COLORS[strategy]
-    return stem, _FALLBACK_COLOR
 
 
 def emit_plot_data(csv_paths: Sequence[str], out_dir: str) -> tuple[str, str]:
@@ -69,16 +63,20 @@ def emit_plot_data(csv_paths: Sequence[str], out_dir: str) -> tuple[str, str]:
     series = [_read_error_series(p) for p in csv_paths]
     stems = [os.path.splitext(os.path.basename(p))[0] for p in csv_paths]
 
-    total: dict[str, int] = {}
-    for stem in stems:
-        parts = stem.rsplit("_", 2)
-        if len(parts) == 3 and parts[1] in _STRATEGY_COLORS:
-            total[parts[1]] = total.get(parts[1], 0) + 1
+    # (strategy, seed) of each <function>_<strategy>_<seed> stem, None for any other run
+    parsed = [parts[1:] if len(parts) == 3 and parts[1] in _STRATEGY_COLORS else None
+              for parts in (stem.rsplit("_", 2) for stem in stems)]
+    total = Counter(p[0] for p in parsed if p is not None)
     labels, colors = [], []
-    for stem in stems:
-        label, color = _label_for(stem, total)
-        labels.append(label)
-        colors.append(color)
+    for stem, p in zip(stems, parsed):
+        if p is None:
+            labels.append(stem)
+            colors.append(_FALLBACK_COLOR)
+        else:
+            strategy, seed = p
+            seed_note = f" seed {seed}" if total[strategy] > 1 else ""
+            labels.append(f"B-CMA-ES {strategy.upper()}{seed_note}")
+            colors.append(_STRATEGY_COLORS[strategy])
 
     os.makedirs(out_dir, exist_ok=True)
     data_path = os.path.join(out_dir, "plot_data.csv")

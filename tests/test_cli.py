@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from bcmaes.cli import main, parse_args, write_trace_csv
+from bcmaes.cli import RunSpec, main, parse_args, run_experiment, write_trace_csv
 from bcmaes.errors import SchemaError
 from bcmaes.optimizer import OptimizerConfig, run
 from bcmaes.benchmarks import cone, registry_lookup
@@ -61,8 +61,9 @@ class TestParseArgs:
         ("--popsize", "1"),
         ("--seed", "-1"),
         ("--seed", "18446744073709551616"),
+        ("--dim", "0"),
     ], ids=["sigma0-negative", "sigma0-nan", "sigma0-overflow", "sigma0-underflow", "x0-nan",
-            "popsize-1", "seed-negative", "seed-too-large"])
+            "popsize-1", "seed-negative", "seed-too-large", "dim-zero"])
     def test_invalid_run_config_is_a_usage_error(self, flags, capsys):
         # the config's own checks, reported as a usage error, not a traceback
         with pytest.raises(SystemExit) as exc:
@@ -125,6 +126,21 @@ class TestRunExperiment:
         assert (tmp_path / "cone_s2_1.csv").exists()
         assert (tmp_path / "cone_s2_2.csv").exists()
         assert len(json.loads((tmp_path / "summary.json").read_text())) == 2
+
+    def test_bad_later_seed_writes_nothing(self, tmp_path):
+        # every seed's config is checked before the first run starts
+        spec = RunSpec(function="cone", dim=2, strategy="s2", seeds=(1, -1), popsize=None,
+                       max_iter=10, sigma0=1.0, x0=None, out_dir=str(tmp_path / "out"))
+        with pytest.raises(ValueError, match="unsigned 64-bit"):
+            run_experiment(spec)
+        assert not (tmp_path / "out").exists()
+
+    def test_numpy_integer_seed_is_written_as_an_int(self, tmp_path):
+        spec = RunSpec(function="cone", dim=2, strategy="s2", seeds=(np.int64(3),), popsize=None,
+                       max_iter=5, sigma0=1.0, x0=None, out_dir=str(tmp_path))
+        assert run_experiment(spec) == 0
+        assert json.loads((tmp_path / "summary.json").read_text())[0]["seed"] == 3
+        assert (tmp_path / "cone_s2_3.csv").is_file()
 
     def test_io_error_exits_1(self, tmp_path):
         blocker = tmp_path / "file"
@@ -221,6 +237,31 @@ class TestPlot:
         bad.write_text("iter,nope\n1,2\n")
         with pytest.raises(SchemaError):
             emit_plot_data([str(bad)], str(tmp_path))
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "+inf", "NaN"])
+    def test_unplottable_error_is_schema_error(self, tmp_path, capsys, cell):
+        # NaN and +inf have no chart coordinate; -inf plots at the log floor
+        bad = tmp_path / "cone_reference_run.csv"
+        bad.write_text(
+            "iter,f_best_iter,f_min_so_far,error_vs_min,cov_norm,retrial,event\n"
+            "1,10.0,10.0,10.0,1.0,0,none\n"
+            f"2,4.0,4.0,{cell},1.0,0,none\n"
+        )
+        with pytest.raises(SchemaError, match=r"cone_reference_run\.csv:3: error_vs_min"):
+            emit_plot_data([str(bad)], str(tmp_path / "plots"))
+        assert main(["plot", str(bad), "--out", str(tmp_path / "plots")]) == 2
+        assert "cone_reference_run.csv:3" in capsys.readouterr().err
+        assert not (tmp_path / "plots").exists()
+
+    def test_negative_infinite_error_plots_at_the_floor(self, tmp_path):
+        csv_path = tmp_path / "cone_reference_run.csv"
+        csv_path.write_text(
+            "iter,f_best_iter,f_min_so_far,error_vs_min,cov_norm,retrial,event\n"
+            "1,10.0,10.0,10.0,1.0,0,none\n"
+            "2,4.0,4.0,-inf,1.0,0,none\n"
+        )
+        _, svg_path = emit_plot_data([str(csv_path)], str(tmp_path / "plots"))
+        assert "nan" not in open(svg_path).read()
 
     def test_plot_subcommand_exit_codes(self, tmp_path):
         paths = self._make_csvs(tmp_path, strategies=("s2",))

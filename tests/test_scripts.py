@@ -166,3 +166,24 @@ def test_hash_traces_compares_equal_runs_and_sees_a_one_ulp_change(tmp_path, mon
     out = capsys.readouterr().out.splitlines()
     assert out == [f"{subset[1].key}: differs", "1/2 equal"]
 
+
+
+def test_reproduce_convergence_writes_what_the_cli_writes(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    subprocess.run([sys.executable, str(ROOT / "scripts" / "reproduce_convergence.py"),
+                    "--seed", "3", "--out", str(tmp_path / "script")],
+                   env=env, capture_output=True, text=True, check=True)
+    budgets = _load_script("reproduce_convergence").BUDGETS
+    assert sorted(p.name for p in (tmp_path / "script").iterdir()) == sorted(budgets)
+    assert len(list((tmp_path / "script").glob("*/*_s[12]_3.csv"))) == 8
+    from bcmaes.cli import main
+
+    for function, budget in budgets.items():
+        out = tmp_path / "script" / function
+        assert (out / "plot_data.csv").is_file() and (out / "convergence.svg").is_file()
+        for strategy in ("s1", "s2"):
+            cli_out = tmp_path / "cli" / function
+            assert main(["--function", function, "--strategy", strategy, "--seed", "3",
+                         "--max-iter", str(budget), "--out", str(cli_out)]) == 0
+            name = f"{function}_{strategy}_3.csv"
+            assert (out / name).read_bytes() == (cli_out / name).read_bytes()
