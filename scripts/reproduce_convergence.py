@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Run both mean strategies on all four benchmarks and render convergence charts.
 
-Produces, per function, trace CSVs for strategies s1 and s2 plus an aligned
-plot-data file and an SVG chart overlaying the two curves. Budgets are sized
+Produces, per function, the trace CSV and ``summary.json`` of each strategy
+in ``<out>/<function>/<strategy>/``, plus an aligned plot-data file and an
+SVG chart overlaying the two curves in ``<out>/<function>/``. Budgets are sized
 so the runs reach their terminal precision (see docs/calibration.md).
 
 Usage:
@@ -38,12 +39,12 @@ def main() -> int:
                 max_iter=budget,
                 sigma0=1.0,
                 x0=None,
-                out_dir=out_dir,
+                out_dir=os.path.join(out_dir, strategy),
             )
             code = run_experiment(spec)
             if code != 0:
                 return code
-            csvs.append(os.path.join(out_dir, f"{function}_{strategy}_{args.seed}.csv"))
+            csvs.append(os.path.join(out_dir, strategy, f"{function}_{strategy}_{args.seed}.csv"))
         data_path, svg_path = emit_plot_data(csvs, out_dir)
         print(f"{function}: wrote {data_path} and {svg_path}")
     return 0

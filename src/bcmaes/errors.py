@@ -9,14 +9,6 @@ class RepairFailed(BcmaesError):
     """Diagonal-jitter repair could not restore positive definiteness."""
 
 
-class DegreesOfFreedomTooLow(BcmaesError):
-    """The inverse-Wishart mean does not exist for the given degrees of freedom."""
-
-
-class InvariantViolation(BcmaesError):
-    """A belief-state invariant (positivity, symmetry, definiteness) was broken."""
-
-
 class PriorDegeneracy(BcmaesError):
     """The belief covariance became irrecoverably degenerate mid-run."""
 

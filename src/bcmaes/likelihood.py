@@ -67,9 +67,9 @@ def summarize(
       positive-definite covariance the population was sampled from;
     - ``strategy`` is one of :data:`STRATEGIES`.
 
-    ``sigma_bar`` comes out positive definite, so the summary is built
-    without the checks of :class:`SummaryStats`. A scatter that overflows
-    reaches :func:`spd_repair` non-finite, which raises ``ValueError``.
+    ``sigma_bar`` comes out positive definite, as :class:`SummaryStats`
+    requires. A scatter that overflows reaches :func:`spd_repair`
+    non-finite, which raises ``ValueError``.
     """
     order_w = (-weights).argsort(kind="stable")
     w_desc = weights[order_w]

@@ -25,25 +25,12 @@ import numpy as np
 from .errors import RepairFailed
 from .rng import RandomSource
 
-_SYM_RTOL = 1e-12
 # jitter rungs eps * 10**p, p = 0 .. _RUNGS - 1, tried by spd_repair,
 # with eps = _JITTER_BASE * max(1, max |diag m|)
 _JITTER_BASE = 1e-10
 _RUNGS = 12
-
-
-def check_symmetric(m: np.ndarray) -> np.ndarray:
-    """Validate that ``m`` is a finite symmetric square matrix and return it as float64."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    # the peak is NaN or inf exactly when some entry is, so one pass serves both checks
-    peak = float(np.abs(m).max())
-    if not math.isfinite(peak):
-        raise ValueError("matrix entries must be finite")
-    if float(np.abs(m - m.T).max()) > _SYM_RTOL * max(1.0, peak):
-        raise ValueError("matrix is not symmetric within tolerance")
-    return m
+# the smallest normal float: frobenius_norm scales a sum of squares below it
+_TINY = float(np.finfo(float).tiny)
 
 
 def spd_repair(m: np.ndarray, start: int = -1) -> tuple[np.ndarray, np.ndarray, int]:
@@ -116,10 +103,10 @@ def scaled_jitter_eps(m: np.ndarray) -> float:
 
     A fixed absolute base cannot repair indefinite matrices whose entries are
     many orders of magnitude above 1 within the escalation budget, so the
-    base is scaled by the largest diagonal magnitude.
+    base is scaled by the largest diagonal magnitude. ``m`` is a float64
+    square matrix with at least one row.
     """
-    m = np.asarray(m, dtype=float)
-    scale = float(np.maximum.reduce(np.abs(m.diagonal()))) if m.size else 1.0
+    scale = float(np.maximum.reduce(np.abs(m.diagonal())))
     return _JITTER_BASE * max(1.0, scale)
 
 
@@ -129,19 +116,15 @@ def sample_mvn(mean: np.ndarray, factor: np.ndarray, k: int, rng: RandomSource) 
     ``factor`` is the lower Cholesky factor ``L`` of the covariance, as
     :func:`spd_repair` returns it. The variate layout is row-major: point
     ``i`` uses variates ``[i*d, (i+1)*d)`` of the stream, and
-    ``x_i = mean + L z_i``.
+    ``x_i = mean + L z_i``. ``mean`` is a float64 vector; nothing here checks
+    the arguments.
     """
-    mean = np.asarray(mean, dtype=float)
-    if mean.ndim != 1:
-        raise ValueError("mean must be a vector")
-    if k < 2:
-        raise ValueError("k must be at least 2")
     return _sample(mean, factor, k, rng)[0]
 
 
 def _sample(mean: np.ndarray, factor: np.ndarray, k: int,
             rng: RandomSource) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`sample_mvn` on a float64 mean vector and k >= 2, returning ``(points, z)``.
+    """:func:`sample_mvn`, returning ``(points, z)``.
 
     ``z`` is the ``(k, d)`` matrix of the variates that built the points.
     """
@@ -153,17 +136,18 @@ def _sample(mean: np.ndarray, factor: np.ndarray, k: int,
 def frobenius_norm(m: np.ndarray) -> float:
     """Frobenius norm with the bits of ``np.linalg.norm(m, "fro")``: the root of one dot.
 
-    When the sum of squares overflows although every entry is finite, the
-    entries are scaled by the largest magnitude first, so a finite matrix
-    whose norm is representable gets a finite norm. The overflowing dot
-    raises numpy's overflow warning unless the caller ignores it, as the run
-    loop does.
+    When the sum of squares overflows, or falls below the smallest normal
+    float, although some entry is nonzero and every entry is finite, the
+    entries are scaled by the largest magnitude first. So a finite matrix
+    whose norm is representable gets a finite norm, and a tiny one keeps its
+    precision instead of reading 0. The overflowing dot raises numpy's
+    overflow warning unless the caller ignores it, as the run loop does.
     """
     v = np.asarray(m, dtype=float).ravel(order="K")
     sq = v @ v
-    if not math.isfinite(sq):
+    if not _TINY <= sq < math.inf:
         peak = float(np.abs(v).max())
-        if math.isfinite(peak):
+        if 0.0 < peak < math.inf:
             w = v / peak
             return peak * math.sqrt(w @ w)
     return math.sqrt(sq)

@@ -141,13 +141,9 @@ def init_prior(x0: np.ndarray, sigma0: float, dim: int) -> NiwParams:
     Uses kappa = 1 (so the first mean update moves almost all the way to the
     likelihood estimate) and nu = dim + 3, the smallest integer-offset choice
     for which the expected covariance exists with margin; psi is scaled so
-    that the expectation comes out at exactly ``sigma0**2 * I``.
+    that the expectation comes out at exactly ``sigma0**2 * I``. ``x0`` and
+    ``sigma0`` are those of a checked :class:`OptimizerConfig`.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (dim,):
-        raise ValueError(f"x0 must have shape ({dim},)")
-    if sigma0 <= 0:
-        raise ValueError("sigma0 must be positive")
     nu = float(dim + 3)
     psi = sigma0**2 * (nu - dim - 1) * np.eye(dim)
     return NiwParams(mu=x0, kappa=1.0, nu=nu, psi=psi)

@@ -61,8 +61,9 @@ def init_restart() -> RestartState:
     """Fresh controller state: zero retrials and a max-float best record.
 
     The best-fitness record starts at the largest finite float, so the first
-    evaluated candidate always registers and ``x_min`` is guaranteed to be set
-    from iteration one onward.
+    candidate with a finite fitness registers and sets ``x_min``. While every
+    evaluation is +inf (or NaN, which the loop maps to +inf), ``x_min`` and
+    ``sigma_min`` stay unset.
     """
     return RestartState(retrial=0, f_min=_F_SENTINEL, x_min=None, sigma_min=None)
 

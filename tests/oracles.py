@@ -22,7 +22,6 @@ from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dtrtrs
 from scipy.special import ndtri as _scipy_ndtri
 
-from bcmaes.errors import DegreesOfFreedomTooLow, InvariantViolation
 from bcmaes.niw import NiwParams, SummaryStats, expected_covariance
 
 
@@ -39,9 +38,9 @@ class NigParams:
         for name in ("lam", "alpha", "beta"):
             v = getattr(self, name)
             if not (np.isfinite(v) and v > 0):
-                raise InvariantViolation(f"{name} must be strictly positive, got {v}")
+                raise ValueError(f"{name} must be strictly positive, got {v}")
         if not np.isfinite(self.mu):
-            raise InvariantViolation(f"mu must be finite, got {self.mu}")
+            raise ValueError(f"mu must be finite, got {self.mu}")
 
 
 def posterior_update_raw(p: NiwParams, xs: np.ndarray) -> NiwParams:
@@ -113,7 +112,7 @@ def weighted_update_expectations(p: NiwParams, s: SummaryStats) -> tuple[np.ndar
     """
     d = p.dim
     if p.nu <= d + 1:
-        raise DegreesOfFreedomTooLow(f"nu={p.nu} must exceed d+1={d + 1}")
+        raise ValueError(f"nu={p.nu} must exceed d+1={d + 1}")
     n = s.n_obs
     denom = p.nu + n - d - 1
     shift = s.mu_bar - p.mu

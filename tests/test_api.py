@@ -9,6 +9,7 @@ from pathlib import Path
 
 import bcmaes
 import bcmaes.cli
+import bcmaes.errors
 import bcmaes.plotting
 
 PUBLIC = [
@@ -38,6 +39,14 @@ def test_config_fields_are_pinned():
     # a new run knob is an API change: it must show up here
     assert [f.name for f in dataclasses.fields(bcmaes.OptimizerConfig)] == [
         "dim", "x0", "sigma0", "popsize", "max_iter", "strategy", "seed", "parallel_eval"]
+
+
+def test_error_surface_is_pinned():
+    # the errors a run or the CLI can raise; the loop's layers raise none of their own
+    defined = {name for name, obj in vars(bcmaes.errors).items()
+               if isinstance(obj, type) and issubclass(obj, bcmaes.errors.BcmaesError)
+               and obj is not bcmaes.errors.BcmaesError}
+    assert defined == {"RepairFailed", "PriorDegeneracy", "UnknownFunction", "SchemaError"}
 
 
 def test_every_exported_name_resolves():

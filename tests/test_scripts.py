@@ -175,15 +175,18 @@ def test_reproduce_convergence_writes_what_the_cli_writes(tmp_path):
                    env=env, capture_output=True, text=True, check=True)
     budgets = _load_script("reproduce_convergence").BUDGETS
     assert sorted(p.name for p in (tmp_path / "script").iterdir()) == sorted(budgets)
-    assert len(list((tmp_path / "script").glob("*/*_s[12]_3.csv"))) == 8
+    assert len(list((tmp_path / "script").glob("*/s[12]/*_s[12]_3.csv"))) == 8
     from bcmaes.cli import main
 
     for function, budget in budgets.items():
         out = tmp_path / "script" / function
         assert (out / "plot_data.csv").is_file() and (out / "convergence.svg").is_file()
         for strategy in ("s1", "s2"):
+            # each strategy keeps its own summary: one record, of that strategy
+            summary = json.loads((out / strategy / "summary.json").read_text())
+            assert [(r["strategy"], r["seed"]) for r in summary] == [(strategy, 3)]
             cli_out = tmp_path / "cli" / function
             assert main(["--function", function, "--strategy", strategy, "--seed", "3",
                          "--max-iter", str(budget), "--out", str(cli_out)]) == 0
             name = f"{function}_{strategy}_3.csv"
-            assert (out / name).read_bytes() == (cli_out / name).read_bytes()
+            assert (out / strategy / name).read_bytes() == (cli_out / name).read_bytes()
