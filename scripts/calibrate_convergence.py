@@ -44,13 +44,18 @@ def first_cross(trace, threshold, reference):
     return next((t.iter for t in trace if t.f_min_so_far - reference <= threshold), None)
 
 
-def scan_run(function, seed, dim, cap):
+def scan_configs(function, seeds, dim, cap):
+    """The benchmark and one run config per seed; an invalid scan raises ``ValueError``."""
+    bench = registry_lookup(function, dim)
+    return bench, [OptimizerConfig(dim=dim, x0=bench.default_x0, sigma0=1.0, seed=seed,
+                                   max_iter=cap) for seed in seeds]
+
+
+def scan_run(function, bench, cfg):
     """One seeded run of the scan, as a JSON-ready record."""
     threshold = STUDY[function][0]
-    bench = registry_lookup(function, dim)
-    cfg = OptimizerConfig(dim=dim, x0=bench.default_x0, sigma0=1.0, seed=seed, max_iter=cap)
-    record = {"function": function, "seed": seed, "dim": dim, "popsize": cfg.k,
-              "max_iter": cap, "threshold": threshold}
+    record = {"function": function, "seed": cfg.seed, "dim": cfg.dim, "popsize": cfg.k,
+              "max_iter": cfg.max_iter, "threshold": threshold}
     try:
         result = run(cfg, bench.fn)
     except PriorDegeneracy as exc:
@@ -100,12 +105,20 @@ def main() -> int:
     parser.add_argument("--json", action="store_true",
                         help="print the per-seed records as one JSON document")
     args = parser.parse_args()
+    if args.seeds < 1:
+        parser.error("--seeds must be at least 1")
     seeds = range(1, args.seeds + 1)
+    # every config is built before the first run, so an invalid scan runs nothing
+    try:
+        scans = {function: scan_configs(function, seeds, args.dim,
+                                        cap if args.max_iter is None else args.max_iter)
+                 for function, (_, cap) in STUDY.items()}
+    except ValueError as exc:
+        parser.error(str(exc))
 
     runs = []
-    for function, (_, cap) in STUDY.items():
-        cap = args.max_iter if args.max_iter is not None else cap
-        records = [scan_run(function, seed, args.dim, cap) for seed in seeds]
+    for function, (bench, configs) in scans.items():
+        records = [scan_run(function, bench, cfg) for cfg in configs]
         if args.json:
             runs.extend(records)
         else:

@@ -1,10 +1,16 @@
 #!/usr/bin/env python3
-"""Hash the full trace of 196 runs, to show that a change keeps every bit.
+"""Check that every bit of 236 runs matches the digests in ``tests/golden_traces.json``.
 
-Each run's SHA-256 covers every ``IterationTrace`` field (floats as
-``float.hex``), then ``x_best``, ``f_best``, the stop reason, ``n_evals``
-and ``nan_evals``. A run that raises hashes its exception type and message
-instead. All four functions run in each regime:
+The file holds two kinds of SHA-256 digest:
+
+- ``full``: one per run of ``RUNS`` (196), over every ``IterationTrace``
+  field (floats as ``float.hex``), then ``x_best``, ``f_best``, the stop
+  reason, ``n_evals`` and ``nan_evals``. A run that raises hashes its
+  exception type and message instead.
+- ``csv``: one per d=2 run (40), over the trace CSV that the CLI's
+  ``run_experiment`` writes for it.
+
+All four functions run in each regime:
 
 - d=2, strategies s1 and s2, seeds 4, 5, 7, 12 and 13, at the acceptance
   criterion 7 budgets (40 runs);
@@ -14,15 +20,16 @@ instead. All four functions run in each regime:
 
 d=100 trajectories depend on the BLAS thread count, so
 ``OPENBLAS_NUM_THREADS`` defaults to 1 here; a value already set is kept
-and recorded with the digests.
+and recorded in the file, and a check under another value prints a note.
 
 Usage:
-    PYTHONPATH=src python scripts/hash_traces.py [--json OUT]
-    PYTHONPATH=src python scripts/hash_traces.py --compare A.json B.json
+    PYTHONPATH=src python scripts/hash_traces.py [--write]
 
-Without ``--json`` the digests are printed as JSON. ``--compare`` prints
-every run whose digest differs or is missing from one side and exits 1 if
-there is any.
+Without ``--write`` every digest is recomputed and compared with the file:
+each key that differs, is missing from the file or is extra in it is
+printed, then ``N/N equal``, and the exit status is 1 on any difference.
+A change that keeps bits shows it this way. A change meant to move bits
+regenerates the file with ``--write``.
 """
 
 import os
@@ -30,14 +37,19 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse  # noqa: E402
+import contextlib  # noqa: E402
 import hashlib  # noqa: E402
+import io  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
-import time  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
 from typing import NamedTuple, Optional  # noqa: E402
 
 from bcmaes import BcmaesError, OptimizerConfig, registry_lookup, run  # noqa: E402
+from bcmaes.cli import RunSpec, run_experiment  # noqa: E402
 
+GOLDEN = Path(__file__).resolve().parent.parent / "tests" / "golden_traces.json"
 FUNCTIONS = ("cone", "schwefel2", "rastrigin", "schwefel1")
 # acceptance criterion 7 budgets at d=2
 BUDGETS = {"cone": 900, "schwefel2": 1500, "rastrigin": 500, "schwefel1": 500}
@@ -90,23 +102,37 @@ def digest(r: Run) -> str:
     return h.hexdigest()
 
 
-def hash_runs(runs) -> dict:
-    return {
-        "openblas_num_threads": os.environ["OPENBLAS_NUM_THREADS"],
-        "digests": {r.key: digest(r) for r in runs},
-    }
+def csv_digest(r: Run, out_dir: str) -> tuple[str, str]:
+    """The name and SHA-256 of the trace CSV that ``run_experiment`` writes for one run."""
+    spec = RunSpec(function=r.function, dim=r.dim, strategy=r.strategy, seeds=(r.seed,),
+                   popsize=r.popsize, max_iter=r.max_iter, sigma0=r.sigma0, x0=None,
+                   out_dir=out_dir)
+    # a run_experiment that cannot write reports it on stderr, and the read below raises
+    with contextlib.redirect_stdout(io.StringIO()):
+        run_experiment(spec)
+    name = f"{r.function}_{r.strategy}_{r.seed}.csv"
+    return name, hashlib.sha256((Path(out_dir) / name).read_bytes()).hexdigest()
 
 
-def compare(a: dict, b: dict) -> int:
-    """Print the runs whose digests differ; return the exit status."""
-    da, db = a["digests"], b["digests"]
-    if a.get("openblas_num_threads") != b.get("openblas_num_threads"):
-        print(f"note: OPENBLAS_NUM_THREADS {a.get('openblas_num_threads')} against "
-              f"{b.get('openblas_num_threads')}")
-    keys = sorted(set(da) | set(db))
-    differ = [key for key in keys if da.get(key) != db.get(key)]
+def hash_runs() -> dict:
+    """Every digest of ``RUNS``, in the layout of the golden file."""
+    with tempfile.TemporaryDirectory() as out_dir:
+        csv = dict(csv_digest(r, out_dir) for r in RUNS if r.dim == 2)
+    return {"openblas_num_threads": os.environ["OPENBLAS_NUM_THREADS"], "csv": csv,
+            "full": {r.key: digest(r) for r in RUNS}}
+
+
+def check(golden: dict, new: dict) -> int:
+    """Print every key whose digest is not the golden one; return the exit status."""
+    if golden.get("openblas_num_threads") != new["openblas_num_threads"]:
+        print(f"note: OPENBLAS_NUM_THREADS {new['openblas_num_threads']}, the file was "
+              f"written under {golden.get('openblas_num_threads')}")
+    want = {**golden["csv"], **golden["full"]}
+    got = {**new["csv"], **new["full"]}
+    keys = sorted(set(want) | set(got))
+    differ = [key for key in keys if want.get(key) != got.get(key)]
     for key in differ:
-        side = "only in A" if key not in db else "only in B" if key not in da else "differs"
+        side = "missing" if key not in want else "extra" if key not in got else "differs"
         print(f"{key}: {side}")
     print(f"{len(keys) - len(differ)}/{len(keys)} equal")
     return 1 if differ else 0
@@ -115,24 +141,15 @@ def compare(a: dict, b: dict) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--json", metavar="OUT", help="write the digests to OUT")
-    parser.add_argument("--compare", nargs=2, metavar=("A", "B"),
-                        help="compare two digest files instead of running")
+    parser.add_argument("--write", action="store_true",
+                        help=f"regenerate {GOLDEN.name} instead of checking against it")
     args = parser.parse_args(argv)
-    if args.compare:
-        a, b = (json.loads(open(path).read()) for path in args.compare)
-        return compare(a, b)
-    t0 = time.perf_counter()
-    out = hash_runs(RUNS)
-    text = json.dumps(out, indent=1, sort_keys=True) + "\n"
-    if args.json:
-        with open(args.json, "w") as f:
-            f.write(text)
-        print(f"{len(out['digests'])} runs hashed in {time.perf_counter() - t0:.1f} s, "
-              f"OPENBLAS_NUM_THREADS={out['openblas_num_threads']}: {args.json}")
-    else:
-        sys.stdout.write(text)
-    return 0
+    new = hash_runs()
+    if args.write:
+        GOLDEN.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")
+        print(f"{len(new['csv']) + len(new['full'])} digests written to {GOLDEN}")
+        return 0
+    return check(json.loads(GOLDEN.read_text()), new)
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import UnknownFunction
+from .linalg import _norm
 
 SCHWEFEL1_OFFSET = 418.9829
 SCHWEFEL1_MINIMIZER_COORD = 420.9687
@@ -23,10 +24,16 @@ def cone(x) -> float:
     """Euclidean norm of a vector; the simplest convex test case.
 
     Computed as the root of one dot product, which is what
-    ``np.linalg.norm`` computes for a 1-D real vector, so the bits are its.
+    ``np.linalg.norm`` computes for a 1-D real vector, so the bits are its
+    wherever the sum of squares is a normal float. When it overflows, or
+    falls below the smallest normal float for a nonzero point, the entries
+    are scaled by the largest magnitude first, as in
+    :func:`~bcmaes.linalg.frobenius_norm`. So a point below about 1e-162 per
+    entry no longer reads 0 (``cone([1e-170, 1e-170])`` is ``sqrt(2) * 1e-170``),
+    and ``cone([1e200, 1e200])`` is 1.414e200, where ``np.linalg.norm`` and
+    earlier versions give inf.
     """
-    x = np.asarray(x, dtype=float)
-    return math.sqrt(x @ x)
+    return _norm(np.asarray(x, dtype=float))
 
 
 def schwefel2(x) -> float:

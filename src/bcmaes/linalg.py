@@ -29,7 +29,7 @@ from .rng import RandomSource
 # with eps = _JITTER_BASE * max(1, max |diag m|)
 _JITTER_BASE = 1e-10
 _RUNGS = 12
-# the smallest normal float: frobenius_norm scales a sum of squares below it
+# the smallest normal float: _norm scales a sum of squares below it
 _TINY = float(np.finfo(float).tiny)
 
 
@@ -143,10 +143,18 @@ def frobenius_norm(m: np.ndarray) -> float:
     precision instead of reading 0. The overflowing dot raises numpy's
     overflow warning unless the caller ignores it, as the run loop does.
     """
-    v = np.asarray(m, dtype=float).ravel(order="K")
+    return _norm(np.asarray(m, dtype=float).ravel(order="K"))
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a flat float64 vector, the root of one dot, scaled out of range.
+
+    The shared path of :func:`frobenius_norm` and :func:`~bcmaes.benchmarks.cone`;
+    an empty vector has norm 0.
+    """
     sq = v @ v
     if not _TINY <= sq < math.inf:
-        peak = float(np.abs(v).max())
+        peak = float(np.maximum.reduce(np.abs(v), initial=0.0))
         if 0.0 < peak < math.inf:
             w = v / peak
             return peak * math.sqrt(w @ w)

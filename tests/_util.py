@@ -1,6 +1,11 @@
 """Shared helpers for the test suite."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def make_spd(rng: np.random.Generator, d: int, scale: float = 1.0) -> np.ndarray:
@@ -14,3 +19,11 @@ def rel_err(actual: np.ndarray, expected: np.ndarray) -> float:
     expected = np.asarray(expected, dtype=float)
     denom = max(1e-300, float(np.abs(expected).max()))
     return float(np.abs(actual - expected).max()) / denom
+
+
+def load_script(name: str):
+    """Import ``scripts/<name>.py`` as a module, without running its ``main``."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script

@@ -1,5 +1,6 @@
 """The four benchmark objectives and their registry."""
 
+import math
 import warnings
 
 import numpy as np
@@ -29,6 +30,12 @@ class TestCone:
 
     def test_start_point_value(self):
         assert cone([10.0, 10.0]) == pytest.approx(14.142135623730951, rel=1e-15)
+
+    def test_scaled_where_the_squares_leave_the_float_range(self):
+        # the squares underflow to 0, or overflow to inf, without the scaling
+        assert cone([1e-170, 1e-170]) == pytest.approx(math.sqrt(2) * 1e-170, rel=1e-15, abs=0)
+        with np.errstate(over="ignore"):
+            assert cone([1e200, 1e200]) == pytest.approx(math.sqrt(2) * 1e200, rel=1e-15)
 
 
 class TestSchwefel2:

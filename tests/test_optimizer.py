@@ -342,15 +342,16 @@ class TestStops:
         assert result.iterations == 51  # one improving iteration + L5 misses
         assert result.trace[-1].event == "terminate-signal"
 
-    @pytest.mark.parametrize("scale", [1.0, 2.0**-40, 2.0**20, 2.0**-300, 2.0**-460],
-                             ids=["1", "2^-40", "2^20", "2^-300", "2^-460"])
+    @pytest.mark.parametrize("scale", [1.0, 2.0**-40, 2.0**20, 2.0**-300, 2.0**-460, 2.0**-490],
+                             ids=["1", "2^-40", "2^20", "2^-300", "2^-460", "2^-490"])
     def test_var_norm_stop(self, scale):
         # cone is homogeneous and a power of two scales every step exactly, so
         # the run started at scale * [10, 10] with sigma0 = scale is the scale-1
         # run times scale, and the stop relative to sigma0**2 comes at the same
         # iteration; an absolute 1e-12 stopped the 2^-40 run at iteration 1. At
         # 2^-300 and 2^-460 the covariance's squares underflow, so the norm must
-        # scale its entries not to read 0
+        # scale its entries not to read 0; at 2^-490 the points' squares do, so
+        # cone must too
         cfg = _cone_config(x0=scale * np.array([10.0, 10.0]), sigma0=scale, seed=2, max_iter=1500)
         result = run(cfg, cone)
         assert result.stop_reason == STOP_VAR_NORM

@@ -1,17 +1,16 @@
 """The calibration scan's machine-readable mode, the comparator of two scans and the ndtri check."""
 
 import copy
-import importlib.util
 import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
+from _util import ROOT, load_script
+
 D2_REFERENCE = ROOT / "docs" / "convergence" / "d2.json"
 
 
@@ -31,6 +30,21 @@ def test_calibration_scan_json_records():
         assert r["raised"] is False and r["stop_reason"] == "MaxIter"
         assert r["final_log10_error"] is not None or r["final_error"] <= 0
         assert r["crossing"] is None or 1 <= r["crossing"] <= 20
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--seeds", "0"], "--seeds must be at least 1"),
+    (["--dim", "0"], "dim must be >= 1"),
+    (["--max-iter", "0"], "max_iter must be at least 1"),
+], ids=["seeds", "dim", "max-iter"])
+def test_calibration_scan_rejects_an_invalid_scan_as_usage(args, message):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "calibrate_convergence.py"), "--json", *args],
+        env=env, capture_output=True, text=True)
+    assert out.returncode == 2, out.stdout + out.stderr
+    assert out.stdout == ""
+    assert out.stderr.splitlines()[-1].endswith(f"error: {message}")
 
 
 def _scan(dim, crossings=None, log10_errors=None, raised=()):
@@ -111,13 +125,6 @@ def test_comparator_sees_a_lost_rastrigin_crossing(tmp_path):
     assert "WORSE" in line.split("crossed ")[1]
 
 
-def _load_script(name: str):
-    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    return script
-
-
 def _check_ndtri(*args):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     return subprocess.run([sys.executable, str(ROOT / "scripts" / "check_ndtri.py"), *args],
@@ -133,7 +140,7 @@ def test_check_ndtri_passes_the_port():
 
 
 def test_check_ndtri_fails_on_a_one_ulp_difference(monkeypatch, capsys):
-    script = _load_script("check_ndtri")
+    script = load_script("check_ndtri")
     exact = script.ndtri
     monkeypatch.setattr(script, "ndtri", lambda u: np.nextafter(exact(u), np.inf))
     monkeypatch.setattr(sys, "argv", ["check_ndtri.py", "1000"])
@@ -142,18 +149,18 @@ def test_check_ndtri_fails_on_a_one_ulp_difference(monkeypatch, capsys):
 
 
 def test_hash_traces_compares_equal_runs_and_sees_a_one_ulp_change(tmp_path, monkeypatch, capsys):
-    script = _load_script("hash_traces")
+    script = load_script("hash_traces")
     assert len(script.RUNS) == len({r.key for r in script.RUNS}) == 196
-    # one d=2 run and one d=40 run with popsize 15 < d, shortened
+    # one d=2 run and one d=40 run with popsize 15 < d, shortened; the d=2 run
+    # also pins its trace CSV, so there are three digests
     subset = [script.RUNS[0]._replace(max_iter=40),
               next(r for r in script.RUNS if r.dim == 40)._replace(max_iter=20)]
-    base = tmp_path / "base.json"
-    again = tmp_path / "again.json"
-    moved = tmp_path / "moved.json"
-    base.write_text(json.dumps(script.hash_runs(subset)))
-    again.write_text(json.dumps(script.hash_runs(subset)))
-    assert script.main(["--compare", str(base), str(again)]) == 0
-    assert capsys.readouterr().out.splitlines()[-1] == "2/2 equal"
+    golden = tmp_path / "golden.json"
+    monkeypatch.setattr(script, "RUNS", subset)
+    monkeypatch.setattr(script, "GOLDEN", golden)
+    assert script.main(["--write"]) == 0
+    assert script.main([]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "3/3 equal"
 
     # one ulp on every covariance norm of the d=40 run alone
     from bcmaes import optimizer
@@ -161,11 +168,17 @@ def test_hash_traces_compares_equal_runs_and_sees_a_one_ulp_change(tmp_path, mon
     exact = optimizer.frobenius_norm
     monkeypatch.setattr(optimizer, "frobenius_norm",
                         lambda m: np.nextafter(exact(m), np.inf) if m.shape[0] == 40 else exact(m))
-    moved.write_text(json.dumps(script.hash_runs(subset)))
-    assert script.main(["--compare", str(base), str(moved)]) == 1
-    out = capsys.readouterr().out.splitlines()
-    assert out == [f"{subset[1].key}: differs", "1/2 equal"]
+    assert script.main([]) == 1
+    assert capsys.readouterr().out.splitlines() == [f"{subset[1].key}: differs", "2/3 equal"]
 
+    # a key dropped from the file, and one the runs no longer make
+    monkeypatch.setattr(optimizer, "frobenius_norm", exact)
+    doc = json.loads(golden.read_text())
+    doc["full"]["zz_stale"] = doc["full"].pop(subset[0].key)
+    golden.write_text(json.dumps(doc))
+    assert script.main([]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"{subset[0].key}: missing", "zz_stale: extra", "2/4 equal"]
 
 
 def test_reproduce_convergence_writes_what_the_cli_writes(tmp_path):
@@ -173,7 +186,7 @@ def test_reproduce_convergence_writes_what_the_cli_writes(tmp_path):
     subprocess.run([sys.executable, str(ROOT / "scripts" / "reproduce_convergence.py"),
                     "--seed", "3", "--out", str(tmp_path / "script")],
                    env=env, capture_output=True, text=True, check=True)
-    budgets = _load_script("reproduce_convergence").BUDGETS
+    budgets = load_script("reproduce_convergence").BUDGETS
     assert sorted(p.name for p in (tmp_path / "script").iterdir()) == sorted(budgets)
     assert len(list((tmp_path / "script").glob("*/s[12]/*_s[12]_3.csv"))) == 8
     from bcmaes.cli import main
