@@ -8,7 +8,7 @@ The file holds two kinds of SHA-256 digest:
   reason, ``n_evals`` and ``nan_evals``. A run that raises hashes its
   exception type and message instead.
 - ``csv``: one per d=2 run (40), over the trace CSV that the CLI's
-  ``run_experiment`` writes for it.
+  ``run_experiment`` writes, one invocation per function and strategy.
 
 All four functions run in each regime:
 
@@ -25,21 +25,21 @@ and recorded in the file, and a check under another value prints a note.
 Usage:
     PYTHONPATH=src python scripts/hash_traces.py [--write]
 
-Without ``--write`` every digest is recomputed and compared with the file:
-each key that differs, is missing from the file or is extra in it is
-printed, then ``N/N equal``, and the exit status is 1 on any difference.
-A change that keeps bits shows it this way. A change meant to move bits
-regenerates the file with ``--write``.
+With no flag every digest is recomputed and checked, which shows that a
+change keeps bits: each key that differs, is missing from the file or is
+extra in it is printed, then ``N/N equal``, and the exit status is 1 on any
+difference. ``--write`` regenerates the file, for a change meant to move bits.
 """
 
 import os
 
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+BLAS_THREADS = os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
+import itertools  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
@@ -72,7 +72,7 @@ class Run(NamedTuple):
 
 RUNS = (
     [Run(f, 2, None, seed, BUDGETS[f], strategy=s)
-     for s in ("s1", "s2") for seed in (4, 5, 7, 12, 13) for f in FUNCTIONS]
+     for s in ("s1", "s2") for f in FUNCTIONS for seed in (4, 5, 7, 12, 13)]
     + [Run(f, 40, 15, seed, 300) for seed in range(1, 31) for f in FUNCTIONS]
     + [Run(f, 10, None, seed, 300) for seed in (1, 2, 3) for f in FUNCTIONS]
     + [Run(f, 100, None, seed, 300, sigma0)
@@ -102,23 +102,29 @@ def digest(r: Run) -> str:
     return h.hexdigest()
 
 
-def csv_digest(r: Run, out_dir: str) -> tuple[str, str]:
-    """The name and SHA-256 of the trace CSV that ``run_experiment`` writes for one run."""
-    spec = RunSpec(function=r.function, dim=r.dim, strategy=r.strategy, seeds=(r.seed,),
-                   popsize=r.popsize, max_iter=r.max_iter, sigma0=r.sigma0, x0=None,
-                   out_dir=out_dir)
-    # a run_experiment that cannot write reports it on stderr, and the read below raises
+def csv_digests(runs: list[Run], out_dir: str) -> dict[str, str]:
+    """Trace-CSV digests of one ``run_experiment`` over ``runs``, which differ only in seed."""
+    r = runs[0]
+    spec = RunSpec(function=r.function, dim=r.dim, strategy=r.strategy,
+                   seeds=tuple(run.seed for run in runs), popsize=r.popsize,
+                   max_iter=r.max_iter, sigma0=r.sigma0, x0=None, out_dir=out_dir)
     with contextlib.redirect_stdout(io.StringIO()):
-        run_experiment(spec)
-    name = f"{r.function}_{r.strategy}_{r.seed}.csv"
-    return name, hashlib.sha256((Path(out_dir) / name).read_bytes()).hexdigest()
+        status = run_experiment(spec)
+    if status != 0:
+        raise RuntimeError(f"run_experiment exited {status} for {r.function} {r.strategy}")
+    names = [f"{r.function}_{r.strategy}_{run.seed}.csv" for run in runs]
+    return {name: hashlib.sha256((Path(out_dir) / name).read_bytes()).hexdigest()
+            for name in names}
 
 
 def hash_runs() -> dict:
     """Every digest of ``RUNS``, in the layout of the golden file."""
+    csv: dict[str, str] = {}
     with tempfile.TemporaryDirectory() as out_dir:
-        csv = dict(csv_digest(r, out_dir) for r in RUNS if r.dim == 2)
-    return {"openblas_num_threads": os.environ["OPENBLAS_NUM_THREADS"], "csv": csv,
+        d2 = [r for r in RUNS if r.dim == 2]
+        for _, runs in itertools.groupby(d2, key=lambda r: r._replace(seed=0)):
+            csv.update(csv_digests(list(runs), out_dir))
+    return {"openblas_num_threads": BLAS_THREADS, "csv": csv,
             "full": {r.key: digest(r) for r in RUNS}}
 
 

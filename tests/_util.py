@@ -1,7 +1,9 @@
 """Shared helpers for the test suite."""
 
 import importlib.util
+import os
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -22,8 +24,14 @@ def rel_err(actual: np.ndarray, expected: np.ndarray) -> float:
 
 
 def load_script(name: str):
-    """Import ``scripts/<name>.py`` as a module, without running its ``main``."""
+    """Import ``scripts/<name>.py`` as a module, without running its ``main``.
+
+    ``os.environ`` is restored afterwards, so a default that the script sets
+    at import (``hash_traces.py``'s ``OPENBLAS_NUM_THREADS``) does not reach
+    the subprocesses of other tests.
+    """
     spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    with mock.patch.dict(os.environ):
+        spec.loader.exec_module(script)
     return script

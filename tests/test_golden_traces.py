@@ -4,14 +4,14 @@
 236 of them; this module checks 52 through the script's routines:
 
 - the trace CSVs that ``run_experiment`` writes for the 40 d=2 runs, both
-  mean strategies, at the acceptance criterion 7 budgets;
+  mean strategies, at the acceptance criterion 7 budgets, one invocation
+  over all five seeds per function and strategy;
 - the full-trace digests of 12 runs at d=10 and at d=40 with popsize 15 < d.
   Those runs climb the jitter ladder and take the cone projection, which
   the d=2 runs never reach.
 
-A refactor that changes a single bit of these trajectories fails here. A
-change that is meant to change bits re-runs the calibration scans and
-regenerates the file in its own change, from the repository root::
+A refactor that changes one bit of these trajectories fails here. A change
+meant to move bits re-runs the calibration scans and regenerates the file::
 
     PYTHONPATH=src python scripts/hash_traces.py --write
 """
@@ -25,6 +25,7 @@ from _util import load_script
 hash_traces = load_script("hash_traces")
 FULL_RUNS = [r for r in hash_traces.RUNS
              if (r.dim, r.popsize, r.seed) in {(10, None, 1), (40, 15, 3), (40, 15, 5)}]
+assert len(FULL_RUNS) == 12
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +38,7 @@ def golden():
 def test_trace_csv_matches_pinned_digest(function, strategy, tmp_path, golden):
     runs = [r for r in hash_traces.RUNS
             if (r.dim, r.function, r.strategy) == (2, function, strategy)]
-    digests = dict(hash_traces.csv_digest(r, str(tmp_path)) for r in runs)
+    digests = hash_traces.csv_digests(runs, str(tmp_path))
     assert len(digests) == 5
     assert digests == {name: golden["csv"][name] for name in digests}
 

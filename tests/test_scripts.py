@@ -180,6 +180,11 @@ def test_hash_traces_compares_equal_runs_and_sees_a_one_ulp_change(tmp_path, mon
     assert capsys.readouterr().out.splitlines() == [
         f"{subset[0].key}: missing", "zz_stale: extra", "2/4 equal"]
 
+    # a CLI run that reports a failure, whatever CSVs it left
+    monkeypatch.setattr(script, "run_experiment", lambda spec: 1)
+    with pytest.raises(RuntimeError, match="exited 1"):
+        script.main([])
+
 
 def test_reproduce_convergence_writes_what_the_cli_writes(tmp_path):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
