@@ -81,12 +81,12 @@ def emit_plot_data(csv_paths: Sequence[str], out_dir: str) -> tuple[str, str]:
     os.makedirs(out_dir, exist_ok=True)
     data_path = os.path.join(out_dir, "plot_data.csv")
     n_rows = max(len(s) for s in series)
-    with open(data_path, "w", newline="\n") as fh:
-        fh.write(",".join(["iter"] + stems) + "\n")
+    with open(data_path, "w", newline="") as fh:
+        # a file name with a comma or a quote is one quoted cell
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["iter"] + stems)
         for i in range(n_rows):
-            cells = [str(i + 1)]
-            cells += [repr(s[i]) if i < len(s) else "" for s in series]
-            fh.write(",".join(cells) + "\n")
+            writer.writerow([str(i + 1)] + [repr(s[i]) if i < len(s) else "" for s in series])
 
     svg_path = os.path.join(out_dir, "convergence.svg")
     with open(svg_path, "w", newline="\n") as fh:
@@ -160,6 +160,7 @@ def _render_svg(series: list[list[float]], labels: list[str], colors: list[str])
     for i, (label, color) in enumerate(zip(labels, colors)):
         yy = ly + i * 18
         out.append(f'<line x1="{lx}" y1="{yy}" x2="{lx + 22}" y2="{yy}" stroke="{color}" stroke-width="2"/>')
-        out.append(f'<text x="{lx + 28}" y="{yy + 4}" font-size="12">{label}</text>')
+        text = label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        out.append(f'<text x="{lx + 28}" y="{yy + 4}" font-size="12">{text}</text>')
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -1,7 +1,9 @@
 """The experiment runner CLI: parsing, trace CSVs, summary, plot artifacts, exit codes."""
 
+import csv
 import json
 import os
+import xml.dom.minidom
 
 import numpy as np
 import pytest
@@ -227,6 +229,20 @@ class TestPlot:
         assert "#2ca02c" in svg
         header = open(data_path).read().splitlines()[0]
         assert header == "iter,cone_s2_3,cone_reference_run"
+
+    @pytest.mark.parametrize("stem", ["cma&es<1>", "a,b"], ids=["markup", "comma"])
+    def test_any_file_name_gives_a_well_formed_chart_and_data_file(self, tmp_path, stem):
+        own = self._make_csvs(tmp_path, strategies=("s2",))[0]
+        external = tmp_path / f"{stem}.csv"
+        external.write_bytes(own.read_bytes())
+        data_path, svg_path = emit_plot_data([str(own), str(external)], str(tmp_path / "plots"))
+        labels = [node.firstChild.data
+                  for node in xml.dom.minidom.parse(svg_path).getElementsByTagName("text")]
+        assert labels[-2:] == ["B-CMA-ES S2", stem]
+        with open(data_path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["iter", "cone_s2_3", stem]
+        assert {len(row) for row in rows} == {3}
 
     def test_empty_list_is_schema_error(self, tmp_path):
         with pytest.raises(SchemaError):

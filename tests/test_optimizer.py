@@ -368,6 +368,17 @@ class TestStops:
         assert result.stop_reason == STOP_MAX_ITER
         assert result.iterations == 50
 
+    @pytest.mark.parametrize("function", FUNCTION_NAMES)
+    @pytest.mark.parametrize("sigma0", [1e-100, 1e-160])
+    def test_tiny_sigma0_runs_past_the_first_iteration(self, function, sigma0):
+        # the norm and cone once read 0 at these scales, which stopped the
+        # run by VarNormSmall at iteration 1
+        bench = registry_lookup(function, 2)
+        cfg = OptimizerConfig(dim=2, x0=bench.default_x0, sigma0=sigma0, seed=1, max_iter=20)
+        result = run(cfg, bench.fn)
+        assert result.stop_reason == STOP_MAX_ITER
+        assert result.iterations == 20
+
     def test_max_iter_stop(self):
         result = run(_cone_config(max_iter=5), cone)
         assert result.stop_reason == STOP_MAX_ITER

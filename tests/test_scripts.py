@@ -1,4 +1,4 @@
-"""The calibration scan's machine-readable mode, the comparator of two scans and the ndtri check."""
+"""The convergence gate and its rule, the ndtri check, the trace hashes and the reproduction script."""
 
 import copy
 import json
@@ -14,41 +14,100 @@ from _util import ROOT, load_script
 D2_REFERENCE = ROOT / "docs" / "convergence" / "d2.json"
 
 
-def test_calibration_scan_json_records():
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    out = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "calibrate_convergence.py"), "--json",
-         "--seeds", "2", "--dim", "3", "--max-iter", "20"],
-        env=env, capture_output=True, text=True, check=True).stdout
-    doc = json.loads(out)
-    runs = doc["runs"]
-    assert doc["dim"] == 3
-    assert [(r["function"], r["seed"]) for r in runs] == [
-        (f, s) for f in ("cone", "schwefel2", "rastrigin", "schwefel1") for s in (1, 2)]
-    for r in runs:
-        assert (r["dim"], r["popsize"], r["max_iter"]) == (3, 7, 20)  # 4 + floor(3 ln 3)
-        assert r["raised"] is False and r["stop_reason"] == "MaxIter"
-        assert r["final_log10_error"] is not None or r["final_error"] <= 0
-        assert r["crossing"] is None or 1 <= r["crossing"] <= 20
+GATE = load_script("calibrate_convergence")
+# one short d=2 scan over two seeds and one d=10 run per function
+SUBSET = {"d2": (2, range(1, 3), 20), "d10": (10, range(1, 2), 10)}
 
 
-@pytest.mark.parametrize("args,message", [
-    (["--seeds", "0"], "--seeds must be at least 1"),
-    (["--dim", "0"], "dim must be >= 1"),
-    (["--max-iter", "0"], "max_iter must be at least 1"),
-], ids=["seeds", "dim", "max-iter"])
-def test_calibration_scan_rejects_an_invalid_scan_as_usage(args, message):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    out = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "calibrate_convergence.py"), "--json", *args],
-        env=env, capture_output=True, text=True)
-    assert out.returncode == 2, out.stdout + out.stderr
-    assert out.stdout == ""
-    assert out.stderr.splitlines()[-1].endswith(f"error: {message}")
+@pytest.fixture
+def gate(tmp_path, monkeypatch):
+    """The gate on ``SUBSET``, with its references in ``tmp_path``."""
+    monkeypatch.setattr(GATE, "SCANS", SUBSET)
+    monkeypatch.setattr(GATE, "REFERENCES", tmp_path)
+    return GATE
+
+
+def test_calibration_scan_json_records(gate, tmp_path, capsys):
+    # a missing reference fails the check, and --write creates it
+    for argv, code in (([], 1), (["--write"], 0)):
+        assert gate.main(argv) == code
+        assert capsys.readouterr().out.splitlines() == ["d2: missing", "d10: missing"]
+    assert gate.main([]) == 0
+    assert [line.split(":")[:2] for line in capsys.readouterr().out.splitlines()] == [
+        [f"{scan} {f}", " ok"] for scan in SUBSET for f in gate.STUDY]
+    keys = list(json.loads(D2_REFERENCE.read_text())["runs"][0])
+    for scan, dim, popsize, seeds, cap in (("d2", 2, 6, (1, 2), 20), ("d10", 10, 10, (1,), 10)):
+        doc = json.loads((tmp_path / f"{scan}.json").read_text())
+        runs = doc["runs"]
+        assert (doc["dim"], doc["seeds"]) == (dim, len(seeds))
+        assert [(r["function"], r["seed"]) for r in runs] == [
+            (f, s) for f in ("cone", "schwefel2", "rastrigin", "schwefel1") for s in seeds]
+        for r in runs:
+            assert list(r) == keys
+            assert (r["dim"], r["popsize"], r["max_iter"]) == (dim, popsize, cap)
+            assert r["threshold"] == gate.STUDY[r["function"]][0]
+            assert r["raised"] is False and r["stop_reason"] == "MaxIter"
+            assert r["final_log10_error"] is not None or r["final_error"] <= 0
+            assert r["crossing"] is None or 1 <= r["crossing"] <= cap
+
+
+def test_calibration_gate_fails_a_better_reference_and_keeps_it(gate, tmp_path, capsys):
+    assert gate.main(["--write"]) == 0
+    reference = tmp_path / "d10.json"
+    doc = json.loads(reference.read_text())
+    for r in doc["runs"]:
+        r["final_log10_error"] -= 1
+    reference.write_text(json.dumps(doc))
+    written = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    capsys.readouterr()
+    for argv in ([], ["--write"]):
+        assert gate.main(argv) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 8 and all(line.startswith("d10 ") == (": FAIL: " in line)
+                                       for line in lines)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == written
+
+
+def _rerun_at_cap_1200(doc):
+    for r in doc["runs"]:
+        r["max_iter"] = 1200
+    return "d10: the reference ran ('cone', 1, 10, 10, 1200,"
+
+
+def _move_to_d11(doc):
+    doc["dim"] = 11
+    return "d10: the reference is at d=11, the scan at d=10"
+
+
+@pytest.mark.parametrize("doctor", [_rerun_at_cap_1200, _move_to_d11], ids=["cap", "dim"])
+def test_calibration_gate_refuses_a_reference_made_otherwise(gate, tmp_path, capsys, doctor):
+    assert gate.main(["--write"]) == 0
+    reference = tmp_path / "d10.json"
+    doc = json.loads(reference.read_text())
+    message = doctor(doc)
+    reference.write_text(json.dumps(doc))
+    for argv in ([], ["--write"]):
+        assert gate.main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert reference.read_text() == json.dumps(doc)
+
+
+def test_convergence_references_hold_the_scans_runs():
+    # the committed references, checked against the table without running it
+    from bcmaes import default_popsize
+
+    assert sorted(p.name for p in D2_REFERENCE.parent.iterdir()) == sorted(
+        f"{scan}.json" for scan in GATE.SCANS)
+    for scan, (dim, seeds, cap) in GATE.SCANS.items():
+        doc = json.loads((D2_REFERENCE.parent / f"{scan}.json").read_text())
+        assert (doc["dim"], doc["seeds"]) == (dim, len(seeds))
+        assert [tuple(r[k] for k in GATE.PARAMETERS) for r in doc["runs"]] == [
+            (f, seed, dim, default_popsize(dim), cap or own_cap, threshold)
+            for f, (threshold, own_cap) in GATE.STUDY.items() for seed in seeds]
 
 
 def _scan(dim, crossings=None, log10_errors=None, raised=()):
-    """A hand-built ``calibrate_convergence.py --json`` document for one function."""
+    """A hand-built scan document for one function."""
     values = crossings if dim == 2 else log10_errors
     runs = [{"function": "cone", "seed": seed, "dim": dim, "popsize": 6, "max_iter": 50,
              "threshold": 1e-6, "crossing": value if dim == 2 else None,
@@ -59,14 +118,9 @@ def _scan(dim, crossings=None, log10_errors=None, raised=()):
     return {"dim": dim, "seeds": len(runs), "runs": runs}
 
 
-def _compare(tmp_path, ref, new):
-    paths = []
-    for name, doc in (("ref.json", ref), ("new.json", new)):
-        path = tmp_path / name
-        path.write_text(json.dumps(doc))
-        paths.append(str(path))
-    return subprocess.run([sys.executable, str(ROOT / "scripts" / "compare_convergence.py"),
-                           *paths], capture_output=True, text=True)
+def _compare(capsys, ref, new):
+    code = GATE.compare(f"d{ref['dim']}", ref, new)
+    return code, capsys.readouterr()
 
 
 D2_REF = _scan(2, crossings=[10, 20, 30, 40, None])  # median 30, q3 40
@@ -74,11 +128,11 @@ D10_REF = _scan(10, log10_errors=[-1.0, -2.0, -3.0])  # median -2
 
 
 @pytest.mark.parametrize("ref", [D2_REF, D10_REF], ids=["d2", "d10"])
-def test_comparator_passes_a_scan_against_itself(tmp_path, ref):
-    out = _compare(tmp_path, ref, ref)
-    assert out.returncode == 0, out.stdout + out.stderr
-    assert len(out.stdout.splitlines()) == 1  # one line per function
-    assert out.stdout.startswith("cone: ok:")
+def test_comparator_passes_a_scan_against_itself(capsys, ref):
+    code, out = _compare(capsys, ref, ref)
+    assert code == 0, out.out + out.err
+    assert len(out.out.splitlines()) == 1  # one line per function
+    assert out.out.startswith(f"d{ref['dim']} cone: ok:")
 
 
 @pytest.mark.parametrize("new,code", [
@@ -90,38 +144,39 @@ def test_comparator_passes_a_scan_against_itself(tmp_path, ref):
     (_scan(10, log10_errors=[-0.95, -1.95, -2.95]), 0),  # +0.05 is within the bound
     (_scan(10, log10_errors=[-1.0, -2.0, -3.0], raised=(3,)), 1),
 ], ids=["worse-q3", "miss", "better", "d2-raised", "log10-rise", "log10-within", "d10-raised"])
-def test_comparator_applies_the_rule(tmp_path, new, code):
+def test_comparator_applies_the_rule(capsys, new, code):
     ref = D2_REF if new["dim"] == 2 else D10_REF
-    out = _compare(tmp_path, ref, new)
-    assert out.returncode == code, out.stdout + out.stderr
-    assert out.stdout.startswith("cone: FAIL:" if code else "cone: ok:")
+    got, out = _compare(capsys, ref, new)
+    assert got == code, out.out + out.err
+    assert out.out.startswith(f"d{ref['dim']} cone: {'FAIL' if code else 'ok'}:")
 
 
-def test_comparator_refuses_scans_of_different_seeds(tmp_path):
-    out = _compare(tmp_path, D2_REF, _scan(2, crossings=[10, 20, 30, 40]))
-    assert out.returncode == 2
-    assert "different seeds" in out.stderr
+def test_comparator_refuses_scans_of_different_seeds(capsys):
+    code, out = _compare(capsys, D2_REF, _scan(2, crossings=[10, 20, 30, 40]))
+    assert code == 2
+    assert out.out == ""
+    assert "d2: the reference ran ('cone', 5, 2, 6, 50, 1e-06), the scan None" in out.err
 
 
-def test_comparator_passes_the_d2_reference_against_itself(tmp_path):
+def test_comparator_passes_the_d2_reference_against_itself(capsys):
     ref = json.loads(D2_REFERENCE.read_text())
-    out = _compare(tmp_path, ref, ref)
-    assert out.returncode == 0, out.stdout + out.stderr
-    assert [line.split(":")[:2] for line in out.stdout.splitlines()] == [
-        [f, " ok"] for f in ("cone", "schwefel2", "rastrigin", "schwefel1")]
+    code, out = _compare(capsys, ref, ref)
+    assert code == 0, out.out + out.err
+    assert [line.split(":")[:2] for line in out.out.splitlines()] == [
+        [f"d2 {f}", " ok"] for f in ("cone", "schwefel2", "rastrigin", "schwefel1")]
 
 
-def test_comparator_sees_a_lost_rastrigin_crossing(tmp_path):
+def test_comparator_sees_a_lost_rastrigin_crossing(capsys):
     # rastrigin crosses in fewer than half of the reference's seeds, so its
     # median and q3 are +inf either way; only the count of crossings can fall
     ref = json.loads(D2_REFERENCE.read_text())
     new = copy.deepcopy(ref)
     lost = next(r for r in new["runs"] if r["function"] == "rastrigin" and r["crossing"])
     lost["crossing"] = None
-    out = _compare(tmp_path, ref, new)
-    assert out.returncode == 1, out.stdout + out.stderr
-    line = next(line for line in out.stdout.splitlines() if line.startswith("rastrigin:"))
-    assert line.startswith("rastrigin: FAIL: median crossing inf -> inf, q3 crossing inf -> inf")
+    code, out = _compare(capsys, ref, new)
+    assert code == 1, out.out + out.err
+    line = next(line for line in out.out.splitlines() if line.startswith("d2 rastrigin:"))
+    assert line.startswith("d2 rastrigin: FAIL: median crossing inf -> inf, q3 crossing inf -> inf")
     assert "WORSE" in line.split("crossed ")[1]
 
 
