@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import RepairFailed
-from .linalg import scaled_jitter_eps, spd_repair
+from .linalg import scaled_jitter_eps
 from .niw import SummaryStats, _record
 
 STRATEGIES = ("s1", "s2")
@@ -26,9 +25,8 @@ def summarize(
     prior_mean: np.ndarray,
     prior_cov: np.ndarray,
     strategy: str,
-    start: int = -1,
-) -> tuple[SummaryStats, int]:
-    """Produce the update summary for one population, and the jitter rung it took.
+) -> SummaryStats:
+    """Produce the update summary for one population.
 
     The points are paired by a two-stage sort. Stage one orders the weights
     descending, ties broken by original index; stage two stably orders the
@@ -41,17 +39,14 @@ def summarize(
     "s2" is the population's fitness argmin, ties to the lowest index. The
     covariance estimate, for both, is ``A - (B - prior_cov)``: A is the
     weighted scatter of the rank-paired points about their mean, B that of
-    the raw pairing about the raw mean. It is symmetrized and, if indefinite,
-    jitter-repaired; when the jitter ladder fails, its eigenvalues are
-    floored at ``scaled_jitter_eps(prior_cov)``. The full population size is
-    credited as the observation count.
-
-    ``start`` is the warm start of that repair, the rung returned by the
-    previous call (see :func:`spd_repair`); it changes the number of
-    factorizations, never the result. The rung returned is the one the
-    repair settled on, or ``start`` itself when the estimate factored
-    without jitter or the ladder failed, so the next call probes first where
-    the last repair that found a rung ended.
+    the raw pairing about the raw mean. It is symmetrized, and kept as it is
+    when its Cholesky factorization succeeds. Otherwise (with k <= d, in half
+    or more of the iterations) it is shifted in closed form: its infinity
+    norm, the largest absolute row sum, plus ``scaled_jitter_eps(prior_cov)``
+    is added to its diagonal. That norm bounds every eigenvalue's magnitude,
+    so the shifted matrix is positive definite with no search and no second
+    factorization. The full population size is credited as the observation
+    count.
 
     The run loop guarantees the inputs, and nothing here checks them:
 
@@ -67,9 +62,11 @@ def summarize(
       positive-definite covariance the population was sampled from;
     - ``strategy`` is one of :data:`STRATEGIES`.
 
-    ``sigma_bar`` comes out positive definite, as :class:`SummaryStats`
-    requires. A scatter that overflows reaches :func:`spd_repair`
-    non-finite, which raises ``ValueError``.
+    ``sigma_bar`` comes out positive definite. Only where the jitter base
+    underflows to 0 (a ``prior_cov`` diagonal below about 2.5e-314) can the
+    shift leave it merely positive semi-definite, which
+    :class:`SummaryStats` still admits. A scatter that overflows leaves the
+    estimate non-finite, which raises ``ValueError``.
     """
     order_w = (-weights).argsort(kind="stable")
     w_desc = weights[order_w]
@@ -87,15 +84,12 @@ def summarize(
     b = (weights[:, None] * dev).T @ dev
     out = a - (b - prior_cov)
     out = 0.5 * (out + out.T)
+    if not np.logical_and.reduce(np.isfinite(out), axis=None):
+        raise ValueError("covariance estimate entries must be finite")
     try:
-        sigma_bar, _, rung = spd_repair(out, start)
-    except RepairFailed:
-        # With k < d the two rank-(k-1) scatters can leave an indefinite part
-        # at the scale of prior_cov itself, beyond the jitter ladder: project
-        # onto the positive-definite cone, flooring eigenvalues relative to prior_cov.
-        eigvals, eigvecs = np.linalg.eigh(out)
-        out = (eigvecs * np.maximum(eigvals, scaled_jitter_eps(prior_cov))) @ eigvecs.T
-        sigma_bar = 0.5 * (out + out.T)
-        rung = -1
-    summary = _record(SummaryStats, mu_bar=mu_bar, sigma_bar=sigma_bar, n_obs=points.shape[0])
-    return summary, start if rung < 0 else rung
+        np.linalg.cholesky(out)
+    except np.linalg.LinAlgError:
+        # the infinity norm, the largest absolute row sum, is at least every |eigenvalue|
+        shift = np.maximum.reduce(np.add.reduce(np.abs(out), axis=1))
+        out.flat[::out.shape[0] + 1] += shift + scaled_jitter_eps(prior_cov)
+    return _record(SummaryStats, mu_bar=mu_bar, sigma_bar=out, n_obs=points.shape[0])

@@ -2,18 +2,20 @@
 
 All matrices are dense row-major ``float64`` arrays; the intended regime is
 small dimension (experiments run at d = 2). Runs up to d ~ 100 finish,
-including popsize < d: there the covariance estimate can be indefinite
-beyond what the jitter ladder of :func:`spd_repair` repairs, and the
-likelihood layer then projects it onto the positive-definite cone instead.
+including popsize < d.
 
-:func:`spd_repair` owns the jitter policy: it decides whether a matrix
-factors as it is and, if not, how much jitter makes it factor. It returns
-the Cholesky factor of the matrix it accepts, and that factor is all
-:func:`sample_mvn` takes. The run loop draws through :func:`_sample`, which
-also returns the standard-normal variates ``z`` behind each point: with
-``x = mean + L z`` the sampling density of ``x`` is ``exp(-|z|**2 / 2)``
-times a constant shared by the whole population, so the loop weights the
-points from ``z`` and never evaluates a density.
+:func:`spd_repair` is the belief's certificate: it decides whether the
+sampling covariance factors as it is and, if not, how much jitter makes it
+factor. It returns the Cholesky factor of the matrix it accepts, and that
+factor is all :func:`sample_mvn` takes. The covariance estimate of the
+likelihood layer does not go through it: that estimate is often indefinite,
+and :func:`~bcmaes.likelihood.summarize` shifts it in closed form.
+
+The run loop draws through :func:`_sample`, which also returns the
+standard-normal variates ``z`` behind each point: with ``x = mean + L z``
+the sampling density of ``x`` is ``exp(-|z|**2 / 2)`` times a constant
+shared by the whole population, so the loop weights the points from ``z``
+and never evaluates a density.
 """
 
 from __future__ import annotations
@@ -26,43 +28,35 @@ from .errors import RepairFailed
 from .rng import RandomSource
 
 # jitter rungs eps * 10**p, p = 0 .. _RUNGS - 1, tried by spd_repair,
-# with eps = _JITTER_BASE * max(1, max |diag m|)
+# with eps = _JITTER_BASE * max |diag m|
 _JITTER_BASE = 1e-10
 _RUNGS = 12
 # the smallest normal float: _norm scales a sum of squares below it
 _TINY = float(np.finfo(float).tiny)
 
 
-def spd_repair(m: np.ndarray, start: int = -1) -> tuple[np.ndarray, np.ndarray, int]:
-    """Return ``(m + delta * I, L, rung)`` with the smallest escalating jitter that factorizes.
+def spd_repair(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Return ``(m + delta * I, L)`` with the smallest escalating jitter that factorizes.
 
     Attempt 0 factors ``m`` itself, so positive-definite input is returned
-    unchanged (the same array) with its own factor and rung -1. Otherwise
+    unchanged (the same array) with its own factor. Otherwise
     ``delta = eps * 10**rung`` is the smallest rung of ``{eps, 10*eps, ...,
     1e11*eps}`` whose Cholesky succeeds, with ``eps = scaled_jitter_eps(m)``,
     and ``L`` is the lower factor that attempt computed.
 
-    The rung is found by search, not by climbing the ladder. That relies on
-    monotonicity: if ``m + delta * I`` factorizes, so does ``m + delta' * I``
-    for every ``delta' > delta``, since adding a positive multiple of the
-    identity raises every eigenvalue. ``start`` is a warm start, the rung a
-    similar matrix settled on before (the run loop passes the previous
-    iteration's). A rung in ``0 .. 11`` is probed first; if it factorizes,
-    the rung below it is probed next, so a repeat of the same rung costs two
-    attempts. Whatever is left is bisected, as is the whole ladder when
-    ``start`` is -1. Each candidate is the same expression the sequential
-    ladder would form, and monotonicity makes the smallest rung the same
-    whatever the probe order, so every ``start`` gives the same bits. A call
-    makes at most 5 factorization attempts cold (attempt 0 plus
-    ceil(log2 13)) and at most 7 warm (attempt 0, ``start``, ``start - 1``,
-    then ceil(log2 11) to bisect the rest).
+    The rung is found by bisection, not by climbing the ladder. That relies
+    on monotonicity: if ``m + delta * I`` factorizes, so does
+    ``m + delta' * I`` for every ``delta' > delta``, since adding a positive
+    multiple of the identity raises every eigenvalue. Each candidate is the
+    same expression the sequential ladder would form, so the bisection
+    returns its bits, in at most 5 factorization attempts (attempt 0 plus
+    ceil(log2 13)).
 
     The caller guarantees that ``m`` is a float64 square matrix and exactly
     symmetric, and nothing here checks it: the run loop passes the belief's
     expected covariance, which :func:`~bcmaes.niw.posterior_update`
-    symmetrizes and only scalars rescale, and
-    :func:`~bcmaes.likelihood.summarize` symmetrizes its estimate first.
-    Only finiteness is checked, because an overflow upstream can break it.
+    symmetrizes and only scalars rescale. Only finiteness is checked,
+    because an overflow upstream can break it.
 
     Raises
     ------
@@ -74,7 +68,7 @@ def spd_repair(m: np.ndarray, start: int = -1) -> tuple[np.ndarray, np.ndarray, 
     if not np.logical_and.reduce(np.isfinite(m), axis=None):
         raise ValueError("matrix entries must be finite")
     try:
-        return m, np.linalg.cholesky(m), -1
+        return m, np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         pass
     eps = scaled_jitter_eps(m)
@@ -82,16 +76,14 @@ def spd_repair(m: np.ndarray, start: int = -1) -> tuple[np.ndarray, np.ndarray, 
     # invariant: every rung below lo fails; rung hi succeeds (hi == _RUNGS: none found yet)
     lo, hi = 0, _RUNGS
     found = None
-    power = start if 0 <= start < _RUNGS else (lo + hi) // 2
     while lo < hi:
+        power = (lo + hi) // 2
         repaired = m + eps * 10.0**power * eye
         try:
-            found = repaired, np.linalg.cholesky(repaired), power
+            found = repaired, np.linalg.cholesky(repaired)
             hi = power
         except np.linalg.LinAlgError:
             lo = power + 1
-        # right after the warm start factorizes, the rung below it decides whether it is the smallest
-        power = hi - 1 if hi == start else (lo + hi) // 2
     if found is None:
         raise RepairFailed(
             f"matrix not positive definite at any of {_RUNGS} jitter rungs (eps={eps})")
@@ -99,15 +91,16 @@ def spd_repair(m: np.ndarray, start: int = -1) -> tuple[np.ndarray, np.ndarray, 
 
 
 def scaled_jitter_eps(m: np.ndarray) -> float:
-    """Jitter base proportional to the matrix magnitude.
+    """Jitter base proportional to the matrix magnitude: ``1e-10 * max |diag m|``.
 
     A fixed absolute base cannot repair indefinite matrices whose entries are
-    many orders of magnitude above 1 within the escalation budget, so the
-    base is scaled by the largest diagonal magnitude. ``m`` is a float64
-    square matrix with at least one row.
+    many orders of magnitude above 1 within the escalation budget, and
+    swamps those far below 1, so the base is the largest diagonal magnitude
+    scaled. A run from ``s * x0`` with sigma0 = s is then the run from
+    ``x0`` times s. Below a largest diagonal of about 2.5e-314 the base
+    underflows to 0. ``m`` is a float64 square matrix with at least one row.
     """
-    scale = float(np.maximum.reduce(np.abs(m.diagonal())))
-    return _JITTER_BASE * max(1.0, scale)
+    return _JITTER_BASE * float(np.maximum.reduce(np.abs(m.diagonal())))
 
 
 def sample_mvn(mean: np.ndarray, factor: np.ndarray, k: int, rng: RandomSource) -> np.ndarray:

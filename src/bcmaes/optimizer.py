@@ -232,13 +232,11 @@ def _run(
     nan_evals = 0
     belief_cov = expected_covariance(state)
     var_norm_tol = _VAR_NORM_TOL * config.sigma0**2
-    # the jitter rung of the last covariance estimate, the warm start of the next one's repair
-    rung = -1
 
     for t in range(1, config.max_iter + 1):
         mean = expected_mean(state)
         try:
-            cov, chol, _ = spd_repair(belief_cov)
+            cov, chol = spd_repair(belief_cov)
         except (RepairFailed, ValueError) as exc:  # a ValueError here means non-finite
             raise PriorDegeneracy(f"belief covariance degenerate at iteration {t}") from exc
         if not np.logical_and.reduce(np.isfinite(mean)):
@@ -255,10 +253,7 @@ def _run(
             # the constant is common to the population and cancels in the weights
             weights = _softmax(-0.5 * np.add.reduce(z * z, axis=1))
             try:
-                summary, rung = summarize(points, fitness, weights, mean, cov, config.strategy,
-                                          rung)
-            except np.linalg.LinAlgError:
-                raise  # an eigh that does not converge is not an overflow
+                summary = summarize(points, fitness, weights, mean, cov, config.strategy)
             except ValueError as exc:  # its inputs are certified: the scatter overflowed
                 raise PriorDegeneracy(f"population scatter not finite at iteration {t}") from exc
             state_before = state

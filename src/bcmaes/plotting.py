@@ -6,7 +6,7 @@ import csv
 import math
 import os
 from collections import Counter
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .errors import SchemaError
 
@@ -21,13 +21,14 @@ _WIDTH, _HEIGHT = 640, 420
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 16, 16, 44
 
 
-def _read_error_series(path: str) -> list[float]:
+def _read_error_series(path: str) -> list[Optional[float]]:
+    """The error column of one trace CSV, None for each leading +inf cell."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != CSV_HEADER:
             raise SchemaError(f"{path}: header {header!r} does not match the trace schema")
-        errors = []
+        leading, errors = 0, []
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(CSV_HEADER):
                 raise SchemaError(f"{path}:{lineno}: expected {len(CSV_HEADER)} fields")
@@ -36,20 +37,26 @@ def _read_error_series(path: str) -> list[float]:
                 error = float(row[3])
             except ValueError as exc:
                 raise SchemaError(f"{path}:{lineno}: unparseable numeric field") from exc
-            # -inf plots at the log floor; NaN and +inf have no coordinate
+            # a run whose first evaluations are all +inf has no best value yet,
+            # so its curve starts at the first finite cell; -inf plots at the
+            # log floor, and NaN, or +inf after a finite cell, has no coordinate
+            if error == math.inf and not errors:
+                leading += 1
+                continue
             if math.isnan(error) or error == math.inf:
                 raise SchemaError(f"{path}:{lineno}: error_vs_min is {error!r}")
             errors.append(error)
     if not errors:
-        raise SchemaError(f"{path}: no data rows")
-    return errors
+        raise SchemaError(f"{path}: no finite error_vs_min" if leading else f"{path}: no data rows")
+    return [None] * leading + errors
 
 
 def emit_plot_data(csv_paths: Sequence[str], out_dir: str) -> tuple[str, str]:
     """Write an aligned wide data file and an SVG convergence chart.
 
     The data file has one iteration column and one error column per input
-    run, with blank cells past each run's end. The chart plots
+    run, with blank cells before each run's first finite error and past its
+    end. The chart plots
     ``log10(error + 1e-16)`` against iteration, one polyline per run, with
     strategy-coded colors and a text legend. Returns the two output paths.
 
@@ -86,7 +93,8 @@ def emit_plot_data(csv_paths: Sequence[str], out_dir: str) -> tuple[str, str]:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["iter"] + stems)
         for i in range(n_rows):
-            writer.writerow([str(i + 1)] + [repr(s[i]) if i < len(s) else "" for s in series])
+            writer.writerow([str(i + 1)] + [repr(s[i]) if i < len(s) and s[i] is not None else ""
+                                            for s in series])
 
     svg_path = os.path.join(out_dir, "convergence.svg")
     with open(svg_path, "w", newline="\n") as fh:
@@ -101,13 +109,14 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     return [lo + i * step for i in range(n)]
 
 
-def _render_svg(series: list[list[float]], labels: list[str], colors: list[str]) -> str:
+def _render_svg(series: list[list[Optional[float]]], labels: list[str], colors: list[str]) -> str:
     # errors can dip a hair below zero when the reference minimum is an
     # approximate minimizer; clamp before the floored log
-    logs = [[math.log10(max(e, 0.0) + LOG_FLOOR) for e in s] for s in series]
+    logs = [{i + 1: math.log10(max(e, 0.0) + LOG_FLOOR) for i, e in enumerate(s) if e is not None}
+            for s in series]
     x_max = max(len(s) for s in series)
-    y_lo = min(min(s) for s in logs)
-    y_hi = max(max(s) for s in logs)
+    y_lo = min(min(s.values()) for s in logs)
+    y_hi = max(max(s.values()) for s in logs)
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
@@ -153,7 +162,7 @@ def _render_svg(series: list[list[float]], labels: list[str], colors: list[str])
         f'transform="rotate(-90 14 {_MARGIN_T + plot_h / 2:.1f})">log10(error + 1e-16)</text>'
     )
     for vals, color in zip(logs, colors):
-        pts = " ".join(f"{sx(i + 1):.2f},{sy(v):.2f}" for i, v in enumerate(vals))
+        pts = " ".join(f"{sx(it):.2f},{sy(v):.2f}" for it, v in vals.items())
         out.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}"/>')
     lx = _MARGIN_L + plot_w - 170
     ly = _MARGIN_T + 10

@@ -10,6 +10,7 @@ improvement signals termination.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -20,8 +21,6 @@ from .niw import _record
 # the ladder: retrial levels L1 < ... < L5, dilatation K1 > 1, contractions K2 >= K3 >= K4
 _L1, _L2, _L3, _L4, _L5 = 5, 20, 30, 40, 50
 _K1, _K2, _K3, _K4 = 1.5, 0.9, 0.7, 0.5
-
-_F_SENTINEL = float(np.finfo(float).max)
 
 CONTINUE = "continue"
 TERMINATE = "terminate"
@@ -58,14 +57,13 @@ _TERMINATED = RestartDecision(action=TERMINATE)
 
 
 def init_restart() -> RestartState:
-    """Fresh controller state: zero retrials and a max-float best record.
+    """Fresh controller state: zero retrials and an infinite best record.
 
-    The best-fitness record starts at the largest finite float, so the first
-    candidate with a finite fitness registers and sets ``x_min``. While every
-    evaluation is +inf (or NaN, which the loop maps to +inf), ``x_min`` and
-    ``sigma_min`` stay unset.
+    The first candidate with a finite fitness registers and sets ``x_min``.
+    While every evaluation is +inf (or NaN, which the loop maps to +inf),
+    ``f_min`` stays +inf and ``x_min`` and ``sigma_min`` stay unset.
     """
-    return RestartState(retrial=0, f_min=_F_SENTINEL, x_min=None, sigma_min=None)
+    return RestartState(retrial=0, f_min=math.inf, x_min=None, sigma_min=None)
 
 
 def step_restart(
@@ -76,20 +74,20 @@ def step_restart(
 ) -> tuple[RestartState, RestartDecision]:
     """Advance the controller with one iteration's best candidate.
 
-    An improving step (``f_best <= f_min``, so plateaus count) records the
-    new optimum together with ``sigma`` (the covariance in effect when it was
-    found) and resets the counter, so a step improved exactly when the
-    returned state has ``retrial == 0``. Otherwise the counter increments and
-    the ladder fires on the incremented value: up to ``_L1`` nothing happens;
-    strictly between ``_L1`` and ``_L2`` the variance dilates by ``_K1``;
-    exactly at ``_L2`` the decision additionally carries the recorded restart
-    point and covariance (the counter keeps running); [``_L2``, ``_L3``)
-    contracts by ``_K2``, [``_L3``, ``_L4``) by ``_K3``, [``_L4``, ``_L5``) by
-    ``_K4``; at ``_L5`` the controller signals termination. The module
-    constants fix the ladder at levels (5, 20, 30, 40, 50) and factors
-    (1.5, 0.9, 0.7, 0.5).
+    An improving step (a finite ``f_best <= f_min``, so plateaus count and
+    +inf never does) records the new optimum together with ``sigma`` (the
+    covariance in effect when it was found) and resets the counter, so a step
+    improved exactly when the returned state has ``retrial == 0``. Otherwise
+    the counter increments and the ladder fires on the incremented value: up
+    to ``_L1`` nothing happens; strictly between ``_L1`` and ``_L2`` the
+    variance dilates by ``_K1``; exactly at ``_L2`` the decision additionally
+    carries the recorded restart point and covariance (the counter keeps
+    running); [``_L2``, ``_L3``) contracts by ``_K2``, [``_L3``, ``_L4``) by
+    ``_K3``, [``_L4``, ``_L5``) by ``_K4``; at ``_L5`` the controller signals
+    termination. The module constants fix the ladder at levels
+    (5, 20, 30, 40, 50) and factors (1.5, 0.9, 0.7, 0.5).
     """
-    if f_best <= state.f_min:
+    if f_best < math.inf and f_best <= state.f_min:
         new_state = _record(
             RestartState,
             retrial=0,

@@ -128,7 +128,7 @@ def test_criterion_4_cancellation_law():
         fitness = -densities  # fitness ranking identical to density ranking
         prior_mean = rng.normal(size=d)
         prior_cov = make_spd(rng, d)
-        s = summarize(points, fitness, densities / densities.sum(), prior_mean, prior_cov, "s1")[0]
+        s = summarize(points, fitness, densities / densities.sum(), prior_mean, prior_cov, "s1")
         worst = max(
             worst,
             float(np.abs(s.mu_bar - prior_mean).max()),

@@ -2,8 +2,10 @@
 
 import csv
 import json
+import math
 import os
 import xml.dom.minidom
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -256,7 +258,8 @@ class TestPlot:
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "+inf", "NaN"])
     def test_unplottable_error_is_schema_error(self, tmp_path, capsys, cell):
-        # NaN and +inf have no chart coordinate; -inf plots at the log floor
+        # NaN, and +inf after a finite value, have no chart coordinate; -inf
+        # plots at the log floor, and leading +inf cells are skipped
         bad = tmp_path / "cone_reference_run.csv"
         bad.write_text(
             "iter,f_best_iter,f_min_so_far,error_vs_min,cov_norm,retrial,event\n"
@@ -268,6 +271,42 @@ class TestPlot:
         assert main(["plot", str(bad), "--out", str(tmp_path / "plots")]) == 2
         assert "cone_reference_run.csv:3" in capsys.readouterr().err
         assert not (tmp_path / "plots").exists()
+
+    def test_curve_starts_at_the_first_finite_error(self, tmp_path, capsys):
+        # +inf for the first three iterations (six points each) never
+        # improves: the best value and its error read inf there, the ladder
+        # counts them as stalls, and the curve starts after them
+        calls = {"n": 0}
+
+        def late(x):
+            calls["n"] += 1
+            return math.inf if calls["n"] <= 18 else cone(x)
+
+        cfg = OptimizerConfig(dim=2, x0=np.array([10.0, 10.0]), seed=1, max_iter=3)
+        assert run(cfg, late).f_best == math.inf
+        calls["n"] = 0
+        result = run(replace(cfg, max_iter=10), late)
+        assert [t.retrial for t in result.trace[:4]] == [1, 2, 3, 0]
+        assert result.f_best == cone(result.x_best)
+        path = tmp_path / "cone_s2_1.csv"
+        write_trace_csv(str(path), result.trace, 0.0)
+        lines = path.read_text().splitlines(keepends=True)
+        errors = [row["error_vs_min"] for row in csv.DictReader(lines)]
+        assert errors[:3] == ["inf"] * 3 and "inf" not in errors[3:]
+        data_path, svg_path = emit_plot_data([str(path)], str(tmp_path / "plots"))
+        with open(data_path, newline="") as fh:
+            cells = [row[1] for row in csv.reader(fh)][1:]
+        assert cells[:3] == [""] * 3 and cells[3:] == errors[3:]
+        polyline = xml.dom.minidom.parse(svg_path).getElementsByTagName("polyline")[0]
+        assert len(polyline.getAttribute("points").split()) == 7
+
+        # a run that never saw a finite value has no curve at all
+        never = tmp_path / "cone_s2_2.csv"
+        never.write_text("".join(lines[:4]))
+        with pytest.raises(SchemaError, match=r"cone_s2_2\.csv: no finite error_vs_min"):
+            emit_plot_data([str(never)], str(tmp_path / "plots2"))
+        assert main(["plot", str(never), "--out", str(tmp_path / "plots2")]) == 2
+        assert "no finite error_vs_min" in capsys.readouterr().err
 
     def test_negative_infinite_error_plots_at_the_floor(self, tmp_path):
         csv_path = tmp_path / "cone_reference_run.csv"

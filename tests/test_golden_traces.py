@@ -7,8 +7,9 @@
   mean strategies, at the acceptance criterion 7 budgets, one invocation
   over all five seeds per function and strategy;
 - the full-trace digests of 12 runs at d=10 and at d=40 with popsize 15 < d.
-  Those runs climb the jitter ladder and take the cone projection, which
-  the d=2 runs never reach.
+  Their covariance estimate is indefinite in about half (d=10) and nine in
+  ten (d=40) of their iterations and takes its closed-form shift there,
+  which the d=2 runs almost never do.
 
 A refactor that changes one bit of these trajectories fails here. A change
 meant to move bits re-runs the calibration scans and regenerates the file::

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcmaes.errors import RepairFailed
+from unittest import mock
+
 from bcmaes.likelihood import summarize
-from bcmaes.linalg import scaled_jitter_eps, spd_repair
+from bcmaes.linalg import scaled_jitter_eps
 from bcmaes.optimizer import _softmax
 
 from _util import make_spd
@@ -19,7 +20,7 @@ def _summary(points, fitness, densities, prior_mean, prior_cov, strategy):
     densities = np.asarray(densities, dtype=float)
     return summarize(np.asarray(points, dtype=float), np.asarray(fitness, dtype=float),
                      densities / densities.sum(), np.asarray(prior_mean, dtype=float),
-                     np.asarray(prior_cov, dtype=float), strategy)[0]
+                     np.asarray(prior_cov, dtype=float), strategy)
 
 
 def _s1_mean(points, fitness, densities, prior_mean):
@@ -83,7 +84,7 @@ class TestRankCandidates:
             # point 2 is the denser, though it comes later: pairs (2, 0.5), (1, 0.375), (0, 0.125)
             ([0.5, 0.125, 0.375], 0.5),
         ):
-            s = summarize(points, fitness, np.array(weights), np.zeros(1), np.eye(1), "s1")[0]
+            s = summarize(points, fitness, np.array(weights), np.zeros(1), np.eye(1), "s1")
             assert s.mu_bar[0] == expected
 
     def test_two_point_swap(self):
@@ -227,23 +228,42 @@ class TestCorrectedCovariance:
                 repaired_some = True
         assert repaired_some  # the fixture really exercised the repair path
 
-    def test_jitter_failure_falls_back_to_cone_projection(self):
+    @staticmethod
+    def _estimate_and_summary(points, fitness, densities, prior_cov):
+        """The symmetrized estimate summarize factors, as it was then, and its summary."""
+        seen, real = [], np.linalg.cholesky
+
+        def cholesky(m):
+            seen.append((m, m.copy()))
+            return real(m)
+
+        with mock.patch.object(np.linalg, "cholesky", cholesky):
+            s = _summary(points, fitness, densities, np.zeros(len(prior_cov)), prior_cov, "s2")
+        assert len(seen) == 1  # one factorization and no other attempt
+        return seen[0], s.sigma_bar
+
+    def test_estimate_that_factors_is_kept_as_it_is(self):
+        rng = np.random.default_rng(4)
+        points, fitness, densities = _aligned_population(rng, k=6)
+        (estimate, before), sigma_bar = self._estimate_and_summary(
+            points, fitness, densities, make_spd(rng, 2))
+        assert sigma_bar is estimate
+        assert np.array_equal(sigma_bar, before)
+
+    def test_indefinite_estimate_is_shifted_by_its_infinity_norm(self):
         # the estimate comes out off-diagonal dominant: eigenvalues about
-        # -14.3 and 13.6 against diagonal entries below 1, so even the largest
-        # jitter (10x the largest diagonal entry) cannot repair it
+        # -14.3 and 13.6 against diagonal entries below 1, beyond every rung
+        # of a jitter ladder relative to its diagonal
         points = [[-1.6, 7.9], [5.4, 2.7], [-8.4, 2.8]]
         fitness = [0.4, 1.7, 0.2]
         densities = np.exp([-7.0, -6.0, -19.0])
         prior_cov = 1e-8 * np.eye(2)
-        raw = _naive_corrected_cov(points, _weights(densities), fitness, prior_cov)
-        raw = 0.5 * (raw + raw.T)
-        with pytest.raises(RepairFailed):
-            spd_repair(raw)
-        out = _covariance(points, fitness, densities, prior_cov)
-        assert np.array_equal(out, out.T)
-        np.linalg.cholesky(out)  # must not raise
-        floored = np.maximum(np.linalg.eigvalsh(raw), scaled_jitter_eps(prior_cov))
-        assert np.abs(np.linalg.eigvalsh(out) - floored).max() <= 1e-12
+        (_, before), sigma_bar = self._estimate_and_summary(points, fitness, densities, prior_cov)
+        assert np.linalg.eigvalsh(before)[0] < -14.0
+        shift = np.abs(before).sum(axis=1).max() + scaled_jitter_eps(prior_cov)
+        assert np.array_equal(sigma_bar, before + shift * np.eye(2))
+        assert np.array_equal(sigma_bar, sigma_bar.T)
+        np.linalg.cholesky(sigma_bar)  # must not raise
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -56,8 +56,8 @@ class TestCholesky:
 
     def test_not_positive_definite(self):
         # attempt 0 rejects both, so each comes back shifted by a jitter rung
-        for m in (np.zeros((2, 2)), np.array([[1.0, 2.0], [2.0, 1.0]])):
-            out, L, _ = spd_repair(m)
+        for m in (np.ones((2, 2)), np.array([[1.0, 2.0], [2.0, 1.0]])):
+            out, L = spd_repair(m)
             shift = out - m
             assert shift[0, 0] > 0
             assert np.array_equal(shift, shift[0, 0] * np.eye(2))
@@ -100,11 +100,11 @@ def _with_negative_eigenvalue(neg: float, seed: int) -> np.ndarray:
     return m[np.ix_(perm, perm)]
 
 
-def _repair_counting_attempts(m: np.ndarray, start: int = -1):
-    """``spd_repair(m, start)`` and the number of Cholesky attempts it made."""
+def _repair_counting_attempts(m: np.ndarray):
+    """``spd_repair(m)`` and the number of Cholesky attempts it made."""
     with mock.patch.object(np.linalg, "cholesky", wraps=np.linalg.cholesky) as chol:
         try:
-            result = spd_repair(m, start)
+            result = spd_repair(m)
         except RepairFailed as exc:
             result = exc
     return result, chol.call_count
@@ -154,102 +154,51 @@ class TestSpdRepairBisection:
         # lambda_min spans 10**-13 .. 10**4 times about the jitter base, so
         # attempt 0 (positive) and the lower rungs are drawn; the cases above
         # pin every rung and the all-rungs-fail case
-        base = 1e-10 * max(1.0, scale)
+        base = 1e-10 * scale
         rng = np.random.default_rng(seed)
         lam_min = (1.0 if positive else -1.0) * base * 10.0**log_neg
         eigvals = np.concatenate([[lam_min], scale * rng.uniform(0.1, 10.0, size=d - 1)])
         _assert_matches_ladder(_with_spectrum(eigvals, seed))
 
 
-class TestSpdRepairWarmStart:
-    """Every warm start settles on the rung and bits of the search from scratch."""
-
-    @staticmethod
-    def _assert_every_start_matches_cold(m: np.ndarray) -> None:
-        cold, _ = _repair_counting_attempts(m)
-        for start in range(-1, 12):
-            warm, attempts = _repair_counting_attempts(m, start)
-            assert attempts <= 7
-            if isinstance(cold, RepairFailed):
-                assert isinstance(warm, RepairFailed), start
-                continue
-            assert not isinstance(warm, RepairFailed), start
-            assert np.array_equal(warm[0], cold[0]), start
-            assert np.array_equal(warm[1], cold[1]), start
-            assert warm[2] == cold[2], start
-            assert (warm[0] is m) == (cold[0] is m), start
-
-    @pytest.mark.parametrize("rung", range(12))
-    def test_each_rung_from_every_start(self, rung):
-        eps = scaled_jitter_eps(_with_negative_eigenvalue(0.0, seed=rung))
-        m = _with_negative_eigenvalue(0.5 * eps * 10.0**rung, seed=rung)
-        self._assert_every_start_matches_cold(m)
-        # a repeat of the last rung costs attempt 0 and two probes, one at rung 0
-        _, attempts = _repair_counting_attempts(m, rung)
-        assert attempts == (2 if rung == 0 else 3)
-
-    def test_all_rungs_fail_from_the_top_rung_in_two_attempts(self):
-        m = _with_negative_eigenvalue(1e3, seed=0)
-        self._assert_every_start_matches_cold(m)
-        assert _repair_counting_attempts(m, 11)[1] == 2
-
-    def test_worst_case_attempts(self):
-        # attempt 0, the start, the rung below it and ceil(log2 11) bisection steps
-        worst = 0
-        for rung in range(12):
-            eps = scaled_jitter_eps(_with_negative_eigenvalue(0.0, seed=rung))
-            m = _with_negative_eigenvalue(0.5 * eps * 10.0**rung, seed=rung)
-            worst = max(worst, *(_repair_counting_attempts(m, s)[1] for s in range(-1, 12)))
-        assert worst == 7
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        d=st.sampled_from([2, 10, 40]),
-        kind=st.sampled_from(["positive", "near-singular", "indefinite"]),
-        log_neg=st.floats(min_value=-13.0, max_value=4.0),
-        scale=st.sampled_from([1e-6, 1.0, 1e4]),
-        seed=st.integers(min_value=0, max_value=2**16),
-    )
-    def test_warm_start_matches_cold_search(self, d, kind, log_neg, scale, seed):
-        # near-singular: lambda_min within a few ulps of zero either way, where
-        # attempt 0 may go either way; indefinite: lambda_min down to -1e4 times
-        # the jitter base, past the top rung
-        base = 1e-10 * max(1.0, scale)
-        rng = np.random.default_rng(seed)
-        lam_min = {"positive": base * 10.0**log_neg,
-                   "near-singular": scale * 1e-16 * (log_neg / 13.0),
-                   "indefinite": -base * 10.0**log_neg}[kind]
-        eigvals = np.concatenate([[lam_min], scale * rng.uniform(0.1, 10.0, size=d - 1)])
-        self._assert_every_start_matches_cold(_with_spectrum(eigvals, seed))
-
-
 class TestSpdRepair:
     def test_spd_unchanged(self):
         m = np.array([[2.0, 0.5], [0.5, 1.0]])
-        out, L, _ = spd_repair(m)
+        out, L = spd_repair(m)
         assert np.array_equal(out, m)
         assert np.array_equal(L, np.linalg.cholesky(m))
 
     def test_zero_matrix_first_escalation(self):
-        out, L, _ = spd_repair(np.zeros((2, 2)))
-        assert np.array_equal(out, 1e-10 * np.eye(2))
-        assert np.array_equal(L, np.linalg.cholesky(out))
+        # the jitter base is relative to the diagonal, so the zero matrix's
+        # first escalation, and every later one, adds 0
+        assert scaled_jitter_eps(np.zeros((2, 2))) == 0.0
+        with pytest.raises(RepairFailed):
+            spd_repair(np.zeros((2, 2)))
 
     def test_rank_deficient_repaired(self):
         m = np.array([[1.0, 1.0], [1.0, 1.0]])
-        out, L, _ = spd_repair(m)
+        out, L = spd_repair(m)
         assert np.array_equal(L, np.linalg.cholesky(out))
 
     def test_jitter_base_scales_with_diagonal(self):
-        # a scaled copy of a rank-deficient matrix is repaired at the same rung
+        # a scaled copy of a rank-deficient matrix is repaired at the same rung,
+        # below a unit diagonal too, and a power of two scales the bits exactly
         m = np.array([[1.0, 1.0], [1.0, 1.0]])
-        for s in (1.0, 1e6):
-            out, _, _ = spd_repair(s * m)
+        for s in (1.0, 1e6, 1e-6):
+            out, _ = spd_repair(s * m)
             assert np.array_equal(out, s * m + 1e-10 * s * np.eye(2))
+        for s in (2.0**-600, 2.0**20):
+            assert np.array_equal(spd_repair(s * m)[0], s * spd_repair(m)[0])
+
+    def test_jitter_base_underflows_below_the_subnormals(self):
+        # 1e-10 times the largest diagonal entry reaches 0 once that entry is
+        # below about 2.5e-314, the square of a sigma0 of about 1.6e-157
+        assert scaled_jitter_eps(np.diag([3e-314, 0.0])) > 0.0
+        assert scaled_jitter_eps(np.diag([2e-314, 0.0])) == 0.0
 
     def test_attempt_zero_factors_input_itself(self):
         m = make_spd(np.random.default_rng(3), 4)
-        out, L, _ = spd_repair(m)
+        out, L = spd_repair(m)
         assert out is m
         assert np.array_equal(L, np.linalg.cholesky(m))
 

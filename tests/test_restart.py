@@ -1,5 +1,7 @@
 """The dilatation/contraction ladder and its best-seen memory."""
 
+import math
+
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
@@ -29,9 +31,15 @@ class TestInit:
         assert state.x_min is None
 
     def test_sentinel_dominates_any_finite_fitness(self):
+        # the record starts at +inf: any finite fitness improves on it, +inf never does
         state = init_restart()
-        assert np.isfinite(state.f_min)
-        assert 1e300 <= state.f_min
+        assert state.f_min == math.inf
+        stalled, _ = step_restart(state, _POINT, math.inf, _SIGMA)
+        assert (stalled.retrial, stalled.f_min, stalled.x_min) == (1, math.inf, None)
+        top = float(np.finfo(float).max)
+        improved, _ = step_restart(stalled, _POINT, top, _SIGMA)
+        assert (improved.retrial, improved.f_min) == (0, top)
+        assert np.array_equal(improved.x_min, _POINT)
 
 
 class TestImprovement:
