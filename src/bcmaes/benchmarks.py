@@ -47,13 +47,18 @@ def schwefel2(x) -> float:
     that overflows, with coordinates near the float range, still warns.)
     """
     a = np.abs(np.asarray(x, dtype=float))
-    return float(a.sum()) + math.prod(a.tolist())
+    return float(np.add.reduce(a)) + math.prod(a.tolist())
 
 
 def rastrigin(x) -> float:
     """10*n + sum(x_i^2 - 10*cos(2*pi*x_i)); highly multi-modal."""
     x = np.asarray(x, dtype=float)
-    return float(10.0 * x.size + (x * x - 10.0 * np.cos(2.0 * np.pi * x)).sum())
+    c = 2.0 * np.pi * x
+    np.cos(c, out=c)
+    c *= 10.0
+    terms = x * x
+    terms -= c
+    return float(10.0 * x.size + np.add.reduce(terms))
 
 
 def schwefel1(x) -> float:
@@ -66,8 +71,13 @@ def schwefel1(x) -> float:
     """
     x = np.asarray(x, dtype=float)
     a = np.abs(x)
-    terms = np.where(a < 500.0, x * np.sin(np.sqrt(a)), _SCHWEFEL1_CLAMP)
-    return float(SCHWEFEL1_OFFSET * x.size - terms.sum())
+    terms = np.sqrt(a)
+    np.sin(terms, out=terms)
+    terms *= x
+    # false for a NaN coordinate too, which the clamp's where maps to the constant
+    if not np.maximum.reduce(a) < 500.0:
+        terms = np.where(a < 500.0, terms, _SCHWEFEL1_CLAMP)
+    return float(SCHWEFEL1_OFFSET * x.size - np.add.reduce(terms))
 
 
 @dataclass(frozen=True)

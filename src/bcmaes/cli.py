@@ -5,13 +5,16 @@ per ``--seed`` flag, writing a frozen-schema trace CSV per run plus a
 ``summary.json``; ``bcmaes plot <csv...> --out results`` turns trace CSVs
 into aligned plot data and an SVG convergence chart.
 
-Exit codes: 0 success, 1 I/O failure, 2 usage or malformed input.
+Exit codes: 0 success, 1 I/O failure, 2 usage or malformed input, 3 a run
+that stopped on a package error (``PriorDegeneracy``); the seeds before it
+keep their CSVs and ``summary.json``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -20,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .benchmarks import FUNCTION_NAMES, BenchmarkSpec, registry_lookup
-from .errors import SchemaError
+from .errors import BcmaesError, SchemaError
 from .likelihood import STRATEGIES
 from .optimizer import IterationTrace, OptimizerConfig, run
 from .plotting import CSV_HEADER, emit_plot_data
@@ -124,15 +127,24 @@ def run_experiment(spec: RunSpec) -> int:
     """Execute one seeded run per seed, emitting trace CSVs and summary.json.
 
     Every seed's config is checked first: an invalid spec raises ``ValueError`` and writes nothing.
+    A run that raises a package error is reported on stderr as ``error: seed S: <message>``;
+    the seeds before it keep their CSVs and ``summary.json``, no later seed runs, and the
+    return value is 3. ``summary.json`` is strict JSON: a non-finite ``f_best`` is ``null``.
     """
     bench, configs = _resolve(spec)
     summary = []
+    code = 0
     try:
         os.makedirs(spec.out_dir, exist_ok=True)
         for config in configs:
             seed = config.seed
-            # the module-global run, so that a harness can replace cli.run
-            result = run(config, bench.fn)
+            try:
+                # the module-global run, so that a harness can replace cli.run
+                result = run(config, bench.fn)
+            except BcmaesError as exc:
+                print(f"error: seed {seed}: {exc}", file=sys.stderr)
+                code = 3
+                break
             csv_name = f"{spec.function}_{spec.strategy}_{seed}.csv"
             write_trace_csv(os.path.join(spec.out_dir, csv_name), result.trace,
                             bench.global_min_value)
@@ -141,7 +153,7 @@ def run_experiment(spec: RunSpec) -> int:
                     "function": spec.function,
                     "strategy": spec.strategy,
                     "seed": seed,
-                    "f_best": result.f_best,
+                    "f_best": result.f_best if math.isfinite(result.f_best) else None,
                     "iterations": result.iterations,
                     "stop_reason": result.stop_reason,
                 }
@@ -152,12 +164,12 @@ def run_experiment(spec: RunSpec) -> int:
                 f"stop={result.stop_reason}"
             )
         with open(os.path.join(spec.out_dir, "summary.json"), "w", newline="\n") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
+            json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
+    return code
 
 
 def _plot_main(argv: Sequence[str]) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import scaled_jitter_eps
+from .linalg import _cholesky, scaled_jitter_eps
 from .niw import SummaryStats, _record
 
 STRATEGIES = ("s1", "s2")
@@ -28,11 +28,12 @@ def summarize(
 ) -> SummaryStats:
     """Produce the update summary for one population.
 
-    The points are paired by a two-stage sort. Stage one orders the weights
-    descending, ties broken by original index; stage two stably orders the
-    points of that sequence by fitness ascending, so among equal fitness the
-    larger weight goes to the denser point. The best point pairs with the
-    largest weight.
+    The points are paired by one stable sort on two keys, which is the
+    two-stage sort of weights descending, then fitness ascending: the points
+    are ordered by fitness ascending, ties by weight descending, then by
+    original index, and the i-th of them pairs with the i-th largest weight.
+    So among equal fitness the larger weight goes to the denser point, and
+    the best point pairs with the largest weight.
 
     The mean estimate follows the strategy. "s1" is the rank-paired weighted
     mean minus the bias of the raw weighted mean relative to ``prior_mean``;
@@ -40,7 +41,8 @@ def summarize(
     covariance estimate, for both, is ``A - (B - prior_cov)``: A is the
     weighted scatter of the rank-paired points about their mean, B that of
     the raw pairing about the raw mean. It is symmetrized, and kept as it is
-    when its Cholesky factorization succeeds. Otherwise (with k <= d, in half
+    when its Cholesky factorization, one call of
+    :func:`~bcmaes.linalg._cholesky`, succeeds. Otherwise (with k <= d, in half
     or more of the iterations) it is shifted in closed form: its infinity
     norm, the largest absolute row sum, plus ``scaled_jitter_eps(prior_cov)``
     is added to its diagonal. That norm bounds every eigenvalue's magnitude,
@@ -68,9 +70,11 @@ def summarize(
     :class:`SummaryStats` still admits. A scatter that overflows leaves the
     estimate non-finite, which raises ``ValueError``.
     """
-    order_w = (-weights).argsort(kind="stable")
-    w_desc = weights[order_w]
-    x_fasc = points[order_w[fitness[order_w].argsort(kind="stable")]]
+    neg_w = -weights
+    # fitness ascending, then weight descending, then index: lexsort is stable
+    x_fasc = points[np.lexsort((neg_w, fitness))]
+    neg_w.sort()
+    w_desc = -neg_w
     ranked_mean = w_desc @ x_fasc
     raw_mean = weights @ points
     if strategy == "s1":
@@ -82,13 +86,16 @@ def summarize(
     a = (w_desc[:, None] * dev_r).T @ dev_r
     dev = points - raw_mean
     b = (weights[:, None] * dev).T @ dev
-    out = a - (b - prior_cov)
-    out = 0.5 * (out + out.T)
+    # a - (b - prior_cov), then 0.5 * (out + out.T), in place: the bits of those expressions
+    b -= prior_cov
+    a -= b
+    out = a + a.T
+    out *= 0.5
     if not np.logical_and.reduce(np.isfinite(out), axis=None):
         raise ValueError("covariance estimate entries must be finite")
-    try:
-        np.linalg.cholesky(out)
-    except np.linalg.LinAlgError:
+    with np.errstate(all="ignore"):
+        factor = _cholesky(out)
+    if factor is None:
         # the infinity norm, the largest absolute row sum, is at least every |eigenvalue|
         shift = np.maximum.reduce(np.add.reduce(np.abs(out), axis=1))
         out.flat[::out.shape[0] + 1] += shift + scaled_jitter_eps(prior_cov)

@@ -9,7 +9,8 @@ sampling covariance factors as it is and, if not, how much jitter makes it
 factor. It returns the Cholesky factor of the matrix it accepts, and that
 factor is all :func:`sample_mvn` takes. The covariance estimate of the
 likelihood layer does not go through it: that estimate is often indefinite,
-and :func:`~bcmaes.likelihood.summarize` shifts it in closed form.
+and :func:`~bcmaes.likelihood.summarize` shifts it in closed form. Both
+factor through :func:`_cholesky`, the package's one factorization entry.
 
 The run loop draws through :func:`_sample`, which also returns the
 standard-normal variates ``z`` behind each point: with ``x = mean + L z``
@@ -23,6 +24,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import RepairFailed
 from .rng import RandomSource
@@ -50,7 +52,9 @@ def spd_repair(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     multiple of the identity raises every eigenvalue. Each candidate is the
     same expression the sequential ladder would form, so the bisection
     returns its bits, in at most 5 factorization attempts (attempt 0 plus
-    ceil(log2 13)).
+    ceil(log2 13)). Every attempt is a call of :func:`_cholesky`, the
+    package's one factorization entry, which gives the bits of
+    ``np.linalg.cholesky``.
 
     The caller guarantees that ``m`` is a float64 square matrix and exactly
     symmetric, and nothing here checks it: the run loop passes the belief's
@@ -67,10 +71,10 @@ def spd_repair(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     if not np.logical_and.reduce(np.isfinite(m), axis=None):
         raise ValueError("matrix entries must be finite")
-    try:
-        return m, np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        pass
+    with np.errstate(all="ignore"):
+        factor = _cholesky(m)
+    if factor is not None:
+        return m, factor
     eps = scaled_jitter_eps(m)
     eye = np.eye(m.shape[0])
     # invariant: every rung below lo fails; rung hi succeeds (hi == _RUNGS: none found yet)
@@ -79,15 +83,35 @@ def spd_repair(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     while lo < hi:
         power = (lo + hi) // 2
         repaired = m + eps * 10.0**power * eye
-        try:
-            found = repaired, np.linalg.cholesky(repaired)
-            hi = power
-        except np.linalg.LinAlgError:
+        with np.errstate(all="ignore"):
+            factor = _cholesky(repaired)
+        if factor is None:
             lo = power + 1
+        else:
+            found = repaired, factor
+            hi = power
     if found is None:
         raise RepairFailed(
             f"matrix not positive definite at any of {_RUNGS} jitter rungs (eps={eps})")
     return found
+
+
+def _cholesky(m: np.ndarray) -> np.ndarray | None:
+    """Lower Cholesky factor of ``m``, or ``None`` when ``m`` is not positive definite.
+
+    The package's one factorization entry: LAPACK's ``potrf`` through the
+    gufunc that ``np.linalg.cholesky`` calls, with its bits, but without
+    that wrapper's checks, casts and error-state setup. ``m`` is a finite
+    float64 square matrix; the callers check finiteness. On failure the
+    gufunc fills the factor with NaN and signals an invalid operation, so
+    the caller makes the call under ``np.errstate(all="ignore")``, which
+    also silences the flags ``np.linalg.cholesky`` ignores. A NaN that arises
+    inside a factorization that LAPACK accepts reaches the last diagonal
+    entry, so that entry is the one tested: ``None`` comes back exactly
+    where ``np.linalg.cholesky`` raises.
+    """
+    factor = _umath_linalg.cholesky_lo(m, signature="d->d")
+    return None if math.isnan(factor[-1, -1]) else factor
 
 
 def scaled_jitter_eps(m: np.ndarray) -> float:
@@ -145,10 +169,10 @@ def _norm(v: np.ndarray) -> float:
     The shared path of :func:`frobenius_norm` and :func:`~bcmaes.benchmarks.cone`;
     an empty vector has norm 0.
     """
-    sq = v @ v
+    sq = np.dot(v, v)
     if not _TINY <= sq < math.inf:
         peak = float(np.maximum.reduce(np.abs(v), initial=0.0))
         if 0.0 < peak < math.inf:
             w = v / peak
-            return peak * math.sqrt(w @ w)
+            return peak * math.sqrt(np.dot(w, w))
     return math.sqrt(sq)

@@ -108,5 +108,6 @@ def posterior_update(p: NiwParams, s: SummaryStats) -> NiwParams:
     outer *= (kappa * n) / (kappa + n)
     psi_new = p.psi + s.sigma_bar
     psi_new += outer
-    psi_new = 0.5 * (psi_new + psi_new.T)
+    psi_new = psi_new + psi_new.T
+    psi_new *= 0.5
     return _record(NiwParams, mu=mu_new, kappa=kappa + n, nu=p.nu + n, psi=psi_new)

@@ -167,15 +167,15 @@ def _evaluate(points: np.ndarray, objective, pool: Optional[Executor]) -> tuple[
 
 
 def _softmax(q: np.ndarray) -> np.ndarray:
-    """``exp(q)`` over its sum, shifted by ``max(q)``: finite weights summing to one.
+    """``exp(q)`` over its sum, shifted by ``max(q)``, in place: finite weights summing to one.
 
     After the shift every exponent is at most 0 and the largest term is
     exactly 1, so nothing overflows and the sum lies in ``[1, len(q)]``.
     """
-    e = q - np.maximum.reduce(q)
-    np.exp(e, out=e)
-    e /= np.add.reduce(e)
-    return e
+    q -= np.maximum.reduce(q)
+    np.exp(q, out=q)
+    q /= np.add.reduce(q)
+    return q
 
 
 def run(
@@ -234,7 +234,8 @@ def _run(
     var_norm_tol = _VAR_NORM_TOL * config.sigma0**2
 
     for t in range(1, config.max_iter + 1):
-        mean = expected_mean(state)
+        # the expected mean, not copied: nothing below writes to it
+        mean = state.mu
         try:
             cov, chol = spd_repair(belief_cov)
         except (RepairFailed, ValueError) as exc:  # a ValueError here means non-finite
@@ -251,7 +252,9 @@ def _run(
         with np.errstate(over="ignore", invalid="ignore"):
             # x = mean + chol @ z has density exp(-|z|**2 / 2) / ((2 pi)**(d/2) det chol);
             # the constant is common to the population and cancels in the weights
-            weights = _softmax(-0.5 * np.add.reduce(z * z, axis=1))
+            q = np.add.reduce(z * z, axis=1)
+            q *= -0.5
+            weights = _softmax(q)
             try:
                 summary = summarize(points, fitness, weights, mean, cov, config.strategy)
             except ValueError as exc:  # its inputs are certified: the scatter overflowed
@@ -266,7 +269,7 @@ def _run(
             if decision.action == TERMINATE:
                 event = "terminate-signal"
                 stop_reason = STOP_CONTROLLER
-            else:
+            elif decision.restart_point is not None or decision.new_sigma_scale != 1.0:
                 mu, psi = state.mu, state.psi
                 if decision.restart_point is not None:
                     mu, psi = decision.restart_point, decision.restart_sigma * (state.nu - d - 1)

@@ -150,6 +150,13 @@ def rastrigin(x) -> float:
     return float(10.0 * x.size + np.sum(x**2 - 10.0 * np.cos(2.0 * np.pi * x)))
 
 
+def schwefel1(x) -> float:
+    x = np.asarray(x, dtype=float)
+    a = np.abs(x)
+    terms = np.where(a < 500.0, x * np.sin(np.sqrt(a)), 500.0 * np.sin(np.sqrt(500.0)))
+    return float(418.9829 * x.size - terms.sum())
+
+
 def frobenius_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(m, dtype=float), "fro"))
 

@@ -153,6 +153,29 @@ class TestBitEqualToNumpyExpressions:
         assert _bits(schwefel2(x)) == _bits(oracles.schwefel2(x))
         assert _bits(cone(x)) == _bits(oracles.cone(x))
         assert _bits(rastrigin(x)) == _bits(oracles.rastrigin(x))
+        assert _bits(schwefel1(x)) == _bits(oracles.schwefel1(x))
+
+    @pytest.mark.parametrize("x", [
+        [400.0, -400.0],
+        [499.99, -3.0, 0.0],
+        [np.nextafter(500.0, 0.0), -np.nextafter(500.0, 0.0)],
+        [500.0, 12.5],
+        [-500.0, -500.0],
+        [600.0, 420.9687, -1e9],
+        [np.nan, 420.9687],
+    ], ids=["inside", "inside-0", "inside-last-float", "at-500", "at-minus-500", "beyond",
+            "nan"])
+    def test_schwefel1_straddles_the_clamp(self, x):
+        # the clamp's where runs only when some |x_i| >= 500 or is NaN: both branches
+        # must give the bits of the plain expression
+        x = np.array(x)
+        assert _bits(schwefel1(x)) == _bits(oracles.schwefel1(x))
+
+    @settings(max_examples=300, deadline=None)
+    @given(xs=st.lists(st.floats(-501.0, 501.0), min_size=1, max_size=12))
+    def test_schwefel1_same_bits_around_the_clamp(self, xs):
+        x = np.array(xs)
+        assert _bits(schwefel1(x)) == _bits(oracles.schwefel1(x))
 
 
 class TestRegistry:

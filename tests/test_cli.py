@@ -10,8 +10,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from bcmaes import cli
 from bcmaes.cli import RunSpec, main, parse_args, run_experiment, write_trace_csv
-from bcmaes.errors import SchemaError
+from bcmaes.errors import PriorDegeneracy, SchemaError
 from bcmaes.optimizer import OptimizerConfig, run
 from bcmaes.benchmarks import cone, registry_lookup
 from bcmaes.plotting import CSV_HEADER, emit_plot_data
@@ -151,6 +152,47 @@ class TestRunExperiment:
         blocker.write_text("x")
         code = main(_run_spec_args(blocker / "sub"))
         assert code == 1
+
+    def test_package_error_exits_3_without_a_traceback(self, tmp_path, capsys):
+        # the population's scatter overflows at the first iteration
+        code = main(["--function", "schwefel2", "--x0", "1e300,1e300", "--seed", "1",
+                     "--max-iter", "5", "--out", str(tmp_path)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == "error: seed 1: population scatter not finite at iteration 1\n"
+        assert json.loads((tmp_path / "summary.json").read_text()) == []
+        assert not (tmp_path / "schwefel2_s2_1.csv").exists()
+
+    def test_package_error_keeps_the_seeds_before_it(self, tmp_path, capsys, monkeypatch):
+        real_run = cli.run
+
+        def run_failing_seed_2(config, objective):
+            if config.seed == 2:
+                raise PriorDegeneracy("belief covariance degenerate at iteration 7")
+            return real_run(config, objective)
+
+        monkeypatch.setattr(cli, "run", run_failing_seed_2)
+        code = main(["--function", "cone", "--seed", "1", "--seed", "2", "--seed", "3",
+                     "--max-iter", "10", "--out", str(tmp_path)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: seed 2: belief covariance degenerate at iteration 7\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cone_s2_1.csv", "summary.json"]
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert [entry["seed"] for entry in summary] == [1]
+
+    def test_summary_is_strict_json(self, tmp_path):
+        # schwefel2's product overflows to inf from 1e160: f_best is inf
+        code = main(["--function", "schwefel2", "--x0", "1e160,1e160", "--seed", "1",
+                     "--max-iter", "5", "--out", str(tmp_path)])
+        assert code == 0
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        summary = json.loads((tmp_path / "summary.json").read_text(), parse_constant=reject)
+        assert summary[0]["f_best"] is None
+        assert summary[0]["iterations"] == 5
 
     def test_rastrigin_stall_produces_dilate_events(self, tmp_path):
         code = main(["--function", "rastrigin", "--seed", "4", "--max-iter", "120",

@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unittest import mock
 
 from bcmaes.likelihood import summarize
 from bcmaes.linalg import scaled_jitter_eps
 from bcmaes.optimizer import _softmax
 
-from _util import make_spd
+from _util import make_spd, spy_factorizations
 from oracles import mvn_logpdf_batch, mvn_pdf
 
 
@@ -56,7 +55,7 @@ class TestComputeWeights:
     @given(st.lists(st.floats(0.01, 100.0), min_size=2, max_size=12))
     def test_normalized_and_order_preserving(self, dens):
         logp = np.log(dens)
-        w = _softmax(logp)
+        w = _softmax(logp.copy())  # it works in place
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
         order_d = np.argsort(np.exp(logp), kind="stable")
         order_w = np.argsort(w, kind="stable")
@@ -92,6 +91,68 @@ class TestRankCandidates:
         # ranked mean 14 against raw mean 16; the unswapped pairing would return the prior
         out = _s1_mean([[10.0], [20.0]], [1.0, 2.0], [2.0, 3.0], np.zeros(1))
         assert out[0] == pytest.approx(-2.0, rel=1e-12)
+
+
+def _two_stage_order(weights, fitness):
+    """The pairing order as two stable argsorts: weights descending, then fitness ascending."""
+    order_w = (-weights).argsort(kind="stable")
+    return order_w[fitness[order_w].argsort(kind="stable")]
+
+
+def _two_stage_summary(points, fitness, weights, prior_mean, prior_cov, strategy):
+    """``(mu_bar, sigma_bar)`` by the plain expressions, the pairing as two argsorts."""
+    order_w = (-weights).argsort(kind="stable")
+    w_desc = weights[order_w]
+    x_fasc = points[_two_stage_order(weights, fitness)]
+    ranked_mean = w_desc @ x_fasc
+    raw_mean = weights @ points
+    if strategy == "s1":
+        mu_bar = ranked_mean - (raw_mean - prior_mean)
+    else:
+        mu_bar = points[fitness.argmin()].copy()
+    dev_r = x_fasc - ranked_mean
+    a = (w_desc[:, None] * dev_r).T @ dev_r
+    dev = points - raw_mean
+    b = (weights[:, None] * dev).T @ dev
+    out = a - (b - prior_cov)
+    out = 0.5 * (out + out.T)
+    try:
+        np.linalg.cholesky(out)
+    except np.linalg.LinAlgError:
+        shift = np.abs(out).sum(axis=1).max()
+        out[np.diag_indices_from(out)] += shift + scaled_jitter_eps(prior_cov)
+    return mu_bar, out
+
+
+class TestPairingOrder:
+    """The one lexsort that summarize pairs by is the two-stage argsort, ties and all."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        k=st.integers(2, 12),
+        d=st.integers(1, 4),
+        strategy=st.sampled_from(["s1", "s2"]),
+        data=st.data(),
+    )
+    def test_lexsort_is_the_two_stage_argsort(self, k, d, strategy, data):
+        # few distinct values, so that fitness and weights tie; +inf fitness
+        # and zero weights are drawn too
+        fitness = np.array(data.draw(st.lists(
+            st.sampled_from([-1.0, 0.0, 2.5, np.inf]), min_size=k, max_size=k)))
+        raw = np.array(data.draw(st.lists(
+            st.sampled_from([0.0, 1.0, 2.0, 3.0]), min_size=k, max_size=k)))
+        if raw.sum() == 0.0:
+            raw[0] = 1.0
+        weights = raw / raw.sum()
+        assert np.array_equal(np.lexsort((-weights, fitness)), _two_stage_order(weights, fitness))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        points = rng.normal(size=(k, d))
+        prior_mean, prior_cov = rng.normal(size=d), make_spd(rng, d)
+        s = summarize(points, fitness, weights, prior_mean, prior_cov, strategy)
+        mu_bar, sigma_bar = _two_stage_summary(points, fitness, weights, prior_mean, prior_cov,
+                                               strategy)
+        assert s.mu_bar.tobytes() == mu_bar.tobytes()
+        assert s.sigma_bar.tobytes() == sigma_bar.tobytes()
 
 
 class TestStrategyOneMean:
@@ -231,16 +292,11 @@ class TestCorrectedCovariance:
     @staticmethod
     def _estimate_and_summary(points, fitness, densities, prior_cov):
         """The symmetrized estimate summarize factors, as it was then, and its summary."""
-        seen, real = [], np.linalg.cholesky
-
-        def cholesky(m):
-            seen.append((m, m.copy()))
-            return real(m)
-
-        with mock.patch.object(np.linalg, "cholesky", cholesky):
+        with spy_factorizations() as spy:
             s = _summary(points, fitness, densities, np.zeros(len(prior_cov)), prior_cov, "s2")
-        assert len(seen) == 1  # one factorization and no other attempt
-        return seen[0], s.sigma_bar
+        assert len(spy.calls) == 1  # one factorization and no other attempt
+        assert spy.numpy["cholesky"] == 0
+        return spy.calls[0][:2], s.sigma_bar
 
     def test_estimate_that_factors_is_kept_as_it_is(self):
         rng = np.random.default_rng(4)
@@ -250,6 +306,7 @@ class TestCorrectedCovariance:
         assert sigma_bar is estimate
         assert np.array_equal(sigma_bar, before)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_indefinite_estimate_is_shifted_by_its_infinity_norm(self):
         # the estimate comes out off-diagonal dominant: eigenvalues about
         # -14.3 and 13.6 against diagonal entries below 1, beyond every rung

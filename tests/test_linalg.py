@@ -1,7 +1,6 @@
 """Matrix primitives and sampling, and the density oracle the loop's weights are checked against."""
 
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +9,7 @@ from hypothesis import strategies as st
 
 from bcmaes.errors import RepairFailed
 from bcmaes.linalg import (
+    _cholesky,
     _sample,
     frobenius_norm,
     sample_mvn,
@@ -19,7 +19,7 @@ from bcmaes.linalg import (
 from bcmaes.rng import RandomSource
 
 import oracles
-from _util import make_spd
+from _util import make_spd, spy_factorizations
 from oracles import mvn_logpdf_batch, mvn_pdf
 
 
@@ -54,14 +54,86 @@ class TestCholesky:
             rel = np.linalg.norm(L @ L.T - m) / np.linalg.norm(m)
             assert rel <= 1e-10
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_not_positive_definite(self):
-        # attempt 0 rejects both, so each comes back shifted by a jitter rung
+        # attempt 0 rejects both, so each comes back shifted by a jitter rung,
+        # and the failed attempts warn no more than np.linalg.cholesky's did
         for m in (np.ones((2, 2)), np.array([[1.0, 2.0], [2.0, 1.0]])):
             out, L = spd_repair(m)
             shift = out - m
             assert shift[0, 0] > 0
             assert np.array_equal(shift, shift[0, 0] * np.eye(2))
             assert np.array_equal(L, np.linalg.cholesky(out))
+
+
+def _factor(m: np.ndarray):
+    """``_cholesky(m)`` as the package calls it, under an ignoring error state."""
+    with np.errstate(all="ignore"):
+        return _cholesky(m)
+
+
+def _numpy_factor(m: np.ndarray):
+    """``np.linalg.cholesky(m)``, or ``None`` where it raises."""
+    try:
+        return np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _near_boundary_2x2() -> list[np.ndarray]:
+    """2x2 matrices a few ulps either side of positive semi-definite."""
+    out = []
+    for r in (1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0)):
+        for steps in range(4):
+            off = r
+            for _ in range(steps):
+                off = np.nextafter(off, 0.0)
+            out.append(np.array([[1.0, off], [off, 1.0]]))
+    # det 4 * 9 - 6 * 6 = 0 exactly, then the corner nudged up and down by one ulp
+    for c in (9.0, np.nextafter(9.0, 10.0), np.nextafter(9.0, 0.0)):
+        out.append(np.array([[4.0, 6.0], [6.0, c]]))
+    return out
+
+
+class TestCholeskyEntry:
+    """``_cholesky``, the direct LAPACK entry, against ``np.linalg.cholesky``."""
+
+    @pytest.mark.parametrize("d", [1, 2, 10, 40, 100])
+    def test_bit_equal_on_random_spd(self, d):
+        rng = np.random.default_rng(d)
+        for scale in (1e-8, 1.0, 1e6):
+            m = make_spd(rng, d, scale)
+            got = _factor(m)
+            assert got is not None
+            assert got.dtype == np.float64 and got.shape == (d, d)
+            assert got.tobytes() == np.linalg.cholesky(m).tobytes()
+
+    @pytest.mark.parametrize("m", [
+        np.array([[1.0, 2.0], [2.0, 1.0]]),
+        np.diag([1.0, -1e-12, 3.0]),
+        np.zeros((1, 1)),
+        np.zeros((3, 3)),
+        np.ones((2, 2)),
+        np.ones((5, 5)),
+        np.outer([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0]),
+    ], ids=["indefinite", "negative-diagonal", "zero-1x1", "zero-3x3", "singular-2x2",
+            "singular-5x5", "rank-one"])
+    def test_none_where_numpy_raises(self, m):
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(m)
+        assert _factor(m) is None
+
+    def test_positive_definite_boundary(self):
+        matrices = _near_boundary_2x2()
+        expected = [_numpy_factor(m) for m in matrices]
+        # the fixture has both sides of the boundary
+        assert any(e is None for e in expected) and any(e is not None for e in expected)
+        for m, want in zip(matrices, expected):
+            got = _factor(m)
+            if want is None:
+                assert got is None
+            else:
+                assert got is not None and got.tobytes() == want.tobytes()
 
 
 def sequential_spd_repair(m: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
@@ -102,12 +174,13 @@ def _with_negative_eigenvalue(neg: float, seed: int) -> np.ndarray:
 
 def _repair_counting_attempts(m: np.ndarray):
     """``spd_repair(m)`` and the number of Cholesky attempts it made."""
-    with mock.patch.object(np.linalg, "cholesky", wraps=np.linalg.cholesky) as chol:
+    with spy_factorizations() as spy:
         try:
             result = spd_repair(m)
         except RepairFailed as exc:
             result = exc
-    return result, chol.call_count
+    assert spy.numpy["cholesky"] == 0
+    return result, len(spy.calls)
 
 
 def _assert_matches_ladder(m: np.ndarray) -> None:
@@ -116,7 +189,7 @@ def _assert_matches_ladder(m: np.ndarray) -> None:
     except RepairFailed as exc:
         expected = exc
     got, attempts = _repair_counting_attempts(m)
-    assert attempts <= 5
+    assert 1 <= attempts <= 5
     if isinstance(expected, RepairFailed):
         assert isinstance(got, RepairFailed)
     else:

@@ -4,7 +4,6 @@ import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import FrozenInstanceError, replace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +26,7 @@ from bcmaes.optimizer import (
 from bcmaes.rng import RandomSource
 
 import oracles
+from _util import spy_factorizations
 
 
 def _cone_config(**kw):
@@ -180,20 +180,11 @@ class TestBudget:
     def test_two_factorizations_per_iteration(self):
         # the sampling covariance and the corrected covariance; the corrected
         # covariance and the updated scale are not factored again
-        real = np.linalg.cholesky
-        failed = []
-
-        def cholesky(m):
-            try:
-                return real(m)
-            except np.linalg.LinAlgError:
-                failed.append(m)
-                raise
-
-        with mock.patch.object(np.linalg, "cholesky", wraps=cholesky) as chol:
+        with spy_factorizations() as spy:
             result = run(_cone_config(max_iter=40), cone)
-        assert not failed  # no jitter rung was climbed
-        assert chol.call_count == 2 * result.iterations
+        assert all(factor is not None for _, _, factor in spy.calls)  # no jitter rung was climbed
+        assert len(spy.calls) == 2 * result.iterations
+        assert spy.numpy["cholesky"] == 0
 
     @pytest.mark.parametrize("dim,popsize", [(2, None), (10, None), (40, 15)])
     def test_no_search_and_no_projection(self, dim, popsize):
@@ -203,12 +194,12 @@ class TestBudget:
         # search or an eigen-projection
         spec = registry_lookup("cone", dim)
         cfg = OptimizerConfig(dim=dim, x0=spec.default_x0, popsize=popsize, max_iter=60, seed=3)
-        with mock.patch.object(np.linalg, "cholesky", wraps=np.linalg.cholesky) as chol, \
-                mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+        with spy_factorizations() as spy:
             result = run(cfg, spec.fn)
         assert result.iterations == 60
-        assert chol.call_count == 2 * result.iterations
-        assert eigh.call_count == 0
+        assert len(spy.calls) == 2 * result.iterations
+        assert spy.numpy["cholesky"] == 0
+        assert spy.numpy["eigh"] == 0
 
     def test_loop_records_stay_frozen(self):
         seen = []
