@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
-"""Check that every bit of 236 runs matches the digests in ``tests/golden_traces.json``.
+"""Check that every bit of 204 runs matches the 244 digests in ``tests/golden_traces.json``.
 
 The file holds two kinds of SHA-256 digest:
 
-- ``full``: one per run of ``RUNS`` (196), over every ``IterationTrace``
+- ``full``: one per run of ``RUNS`` (204), over every ``IterationTrace``
   field (floats as ``float.hex``), then ``x_best``, ``f_best``, the stop
   reason, ``n_evals`` and ``nan_evals``. A run that raises hashes its
   exception type and message instead.
-- ``csv``: one per d=2 run (40), over the trace CSV that the CLI's
-  ``run_experiment`` writes, one invocation per function and strategy.
+- ``csv``: one per d=2 run at sigma0 = 1 (40), over the trace CSV that the
+  CLI's ``run_experiment`` writes, one invocation per function and strategy.
 
 All four functions run in each regime:
 
@@ -16,7 +16,10 @@ All four functions run in each regime:
   criterion 7 budgets (40 runs);
 - d=40 with popsize 15 < d, seeds 1-30, 300 iterations (120 runs);
 - d=10, seeds 1-3, 300 iterations (12 runs);
-- d=100, seeds 1-3, sigma0 = 1 and 1e3, 300 iterations (24 runs).
+- d=100, seeds 1-3, sigma0 = 1 and 1e3, 300 iterations (24 runs);
+- d=2, seed 1, sigma0 = 1e-100 and 1e-160, 20 iterations (8 runs). Their
+  belief covariance is exactly singular at times, so these are the runs
+  whose certificate adds jitter.
 
 d=100 trajectories depend on the BLAS thread count, so
 ``OPENBLAS_NUM_THREADS`` defaults to 1 here; a value already set is kept
@@ -77,6 +80,7 @@ RUNS = (
     + [Run(f, 10, None, seed, 300) for seed in (1, 2, 3) for f in FUNCTIONS]
     + [Run(f, 100, None, seed, 300, sigma0)
        for sigma0 in (1.0, 1e3) for seed in (1, 2, 3) for f in FUNCTIONS]
+    + [Run(f, 2, None, 1, 20, sigma0) for sigma0 in (1e-100, 1e-160) for f in FUNCTIONS]
 )
 
 
@@ -121,7 +125,7 @@ def hash_runs() -> dict:
     """Every digest of ``RUNS``, in the layout of the golden file."""
     csv: dict[str, str] = {}
     with tempfile.TemporaryDirectory() as out_dir:
-        d2 = [r for r in RUNS if r.dim == 2]
+        d2 = [r for r in RUNS if r.dim == 2 and r.sigma0 == 1.0]
         for _, runs in itertools.groupby(d2, key=lambda r: r._replace(seed=0)):
             csv.update(csv_digests(list(runs), out_dir))
     return {"openblas_num_threads": BLAS_THREADS, "csv": csv,

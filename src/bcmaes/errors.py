@@ -5,10 +5,6 @@ class BcmaesError(Exception):
     """Base class for all package-specific errors."""
 
 
-class RepairFailed(BcmaesError):
-    """Diagonal-jitter repair could not restore positive definiteness."""
-
-
 class PriorDegeneracy(BcmaesError):
     """The belief covariance became irrecoverably degenerate mid-run."""
 

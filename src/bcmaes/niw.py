@@ -93,9 +93,12 @@ def posterior_update(p: NiwParams, s: SummaryStats) -> NiwParams:
         psi'   = psi + sigma_bar + kappa*n/(kappa+n) * (mu_bar - mu)(mu_bar - mu)^T
 
     ``psi'`` is positive definite by construction: a positive-definite
-    ``psi`` plus two positive semi-definite terms. It is not factored here;
-    it is certified where it is factored, by the next iteration's
-    :func:`~bcmaes.linalg.spd_repair` of the expected covariance, which rejects a non-finite one.
+    ``psi`` plus two positive semi-definite terms, so in floating point it
+    can at most round to singular. It is not factored here; it is certified
+    where it is factored, by the next iteration's
+    :func:`~bcmaes.linalg.spd_repair` of the expected covariance, which adds
+    one jitter where that factorization fails and rejects a non-finite or
+    indefinite scale.
     """
     n = s.n_obs
     kappa = p.kappa

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
-from .errors import PriorDegeneracy, RepairFailed
+from .errors import PriorDegeneracy
 from .likelihood import STRATEGIES, summarize
 from .linalg import _sample, frobenius_norm, spd_repair
 from .niw import NiwParams, _record, expected_covariance, expected_mean, posterior_update
@@ -123,7 +123,13 @@ class RunResult:
 
 @dataclass(frozen=True)
 class IterationObservation:
-    """Per-iteration snapshot passed to an optional run callback."""
+    """Per-iteration record passed to an optional run callback.
+
+    Its arrays are the loop's own, not copies: ``sampled_mean`` is
+    ``state_before.mu`` (at iteration 1 the config's ``x0``), and
+    ``state_after`` is the belief the next iteration samples from. The
+    callback must not write them.
+    """
 
     iter: int
     points: np.ndarray
@@ -238,7 +244,7 @@ def _run(
         mean = state.mu
         try:
             cov, chol = spd_repair(belief_cov)
-        except (RepairFailed, ValueError) as exc:  # a ValueError here means non-finite
+        except ValueError as exc:  # non-finite, or not positive definite even with jitter
             raise PriorDegeneracy(f"belief covariance degenerate at iteration {t}") from exc
         if not np.logical_and.reduce(np.isfinite(mean)):
             # the mean update's kappa * mu + n * mu_bar overflows for |mu| near the float range

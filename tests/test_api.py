@@ -46,7 +46,7 @@ def test_error_surface_is_pinned():
     defined = {name for name, obj in vars(bcmaes.errors).items()
                if isinstance(obj, type) and issubclass(obj, bcmaes.errors.BcmaesError)
                and obj is not bcmaes.errors.BcmaesError}
-    assert defined == {"RepairFailed", "PriorDegeneracy", "UnknownFunction", "SchemaError"}
+    assert defined == {"PriorDegeneracy", "UnknownFunction", "SchemaError"}
 
 
 def test_every_exported_name_resolves():

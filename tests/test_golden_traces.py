@@ -1,7 +1,7 @@
 """Golden trajectories: runs must keep the bits pinned in ``golden_traces.json``.
 
 ``scripts/hash_traces.py`` computes every digest of that file and checks all
-236 of them; this module checks 52 through the script's routines:
+244 of them; this module checks 52 through the script's routines:
 
 - the trace CSVs that ``run_experiment`` writes for the 40 d=2 runs, both
   mean strategies, at the acceptance criterion 7 budgets, one invocation
@@ -38,7 +38,7 @@ def golden():
 @pytest.mark.parametrize("function", hash_traces.FUNCTIONS)
 def test_trace_csv_matches_pinned_digest(function, strategy, tmp_path, golden):
     runs = [r for r in hash_traces.RUNS
-            if (r.dim, r.function, r.strategy) == (2, function, strategy)]
+            if (r.dim, r.sigma0, r.function, r.strategy) == (2, 1.0, function, strategy)]
     digests = hash_traces.csv_digests(runs, str(tmp_path))
     assert len(digests) == 5
     assert digests == {name: golden["csv"][name] for name in digests}

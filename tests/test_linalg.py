@@ -7,15 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcmaes.errors import RepairFailed
-from bcmaes.linalg import (
-    _cholesky,
-    _sample,
-    frobenius_norm,
-    sample_mvn,
-    scaled_jitter_eps,
-    spd_repair,
-)
+from bcmaes.linalg import _cholesky, _sample, frobenius_norm, scaled_jitter_eps, spd_repair
 from bcmaes.rng import RandomSource
 
 import oracles
@@ -56,13 +48,17 @@ class TestCholesky:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_not_positive_definite(self):
-        # attempt 0 rejects both, so each comes back shifted by a jitter rung,
-        # and the failed attempts warn no more than np.linalg.cholesky's did
-        for m in (np.ones((2, 2)), np.array([[1.0, 2.0], [2.0, 1.0]])):
-            out, L = spd_repair(m)
-            shift = out - m
-            assert shift[0, 0] > 0
-            assert np.array_equal(shift, shift[0, 0] * np.eye(2))
+        # attempt 0 rejects these singular matrices, and one whose smallest
+        # eigenvalue is about -eps / 2, so each comes back with one jitter on
+        # its diagonal, in two attempts that warn no more than
+        # np.linalg.cholesky's did
+        off = 1.0 + 5e-11
+        for m in (np.ones((2, 2)), np.array([[3.0, -3.0], [-3.0, 3.0]]),
+                  np.array([[1.0, off], [off, 1.0]])):
+            with spy_factorizations() as spy:
+                out, L = spd_repair(m)
+            assert [factor is None for _, _, factor in spy.calls] == [True, False]
+            assert np.array_equal(out, m + scaled_jitter_eps(m) * np.eye(2))
             assert np.array_equal(L, np.linalg.cholesky(out))
 
 
@@ -136,104 +132,6 @@ class TestCholeskyEntry:
                 assert got is not None and got.tobytes() == want.tobytes()
 
 
-def sequential_spd_repair(m: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """The jitter ladder climbed one rung at a time: the reference for the bisection."""
-    m = np.asarray(m, dtype=float)
-    try:
-        return m, np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        pass
-    eye = np.eye(m.shape[0])
-    for power in range(12):
-        repaired = m + eps * 10.0**power * eye
-        try:
-            return repaired, np.linalg.cholesky(repaired)
-        except np.linalg.LinAlgError:
-            continue
-    raise RepairFailed("no rung factorizes")
-
-
-def _with_spectrum(eigvals, seed: int) -> np.ndarray:
-    """Symmetric matrix with (about) the given eigenvalues in a random basis."""
-    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(len(eigvals), len(eigvals))))
-    m = (q * np.asarray(eigvals, dtype=float)) @ q.T
-    return 0.5 * (m + m.T)
-
-
-def _with_negative_eigenvalue(neg: float, seed: int) -> np.ndarray:
-    """Matrix with eigenvalues -neg, 2 + neg, 2 and 5 in a random coordinate order.
-
-    Its diagonal is a permutation of [1, 1, 2, 5] whatever ``neg``, so its
-    jitter base ``scaled_jitter_eps`` does not depend on ``neg``.
-    """
-    m = np.diag([1.0, 1.0, 2.0, 5.0])
-    m[0, 1] = m[1, 0] = 1.0 + neg
-    perm = np.random.default_rng(seed).permutation(4)
-    return m[np.ix_(perm, perm)]
-
-
-def _repair_counting_attempts(m: np.ndarray):
-    """``spd_repair(m)`` and the number of Cholesky attempts it made."""
-    with spy_factorizations() as spy:
-        try:
-            result = spd_repair(m)
-        except RepairFailed as exc:
-            result = exc
-    assert spy.numpy["cholesky"] == 0
-    return result, len(spy.calls)
-
-
-def _assert_matches_ladder(m: np.ndarray) -> None:
-    try:
-        expected = sequential_spd_repair(m, scaled_jitter_eps(m))
-    except RepairFailed as exc:
-        expected = exc
-    got, attempts = _repair_counting_attempts(m)
-    assert 1 <= attempts <= 5
-    if isinstance(expected, RepairFailed):
-        assert isinstance(got, RepairFailed)
-    else:
-        assert not isinstance(got, RepairFailed)
-        assert np.array_equal(got[0], expected[0])
-        assert np.array_equal(got[1], expected[1])
-
-
-class TestSpdRepairBisection:
-    @pytest.mark.parametrize("rung", range(12))
-    def test_each_rung_is_found(self, rung):
-        # lambda_min = -eps * 10**rung / 2: rung `rung` is the first to lift it above zero
-        eps = scaled_jitter_eps(_with_negative_eigenvalue(0.0, seed=rung))
-        m = _with_negative_eigenvalue(0.5 * eps * 10.0**rung, seed=rung)
-        assert scaled_jitter_eps(m) == eps
-        assert np.array_equal(spd_repair(m)[0], m + eps * 10.0**rung * np.eye(4))
-        _assert_matches_ladder(m)
-
-    def test_all_rungs_fail(self):
-        # lambda_min = -1e3, beyond the largest jitter, 10 x the largest diagonal entry
-        m = _with_negative_eigenvalue(1e3, seed=0)
-        with pytest.raises(RepairFailed):
-            spd_repair(m)
-        _assert_matches_ladder(m)
-
-    @settings(max_examples=150, deadline=None)
-    @given(
-        d=st.integers(min_value=1, max_value=8),
-        log_neg=st.floats(min_value=-13.0, max_value=4.0),
-        positive=st.booleans(),
-        scale=st.sampled_from([1e-6, 1.0, 1e4]),
-        seed=st.integers(min_value=0, max_value=2**16),
-    )
-    def test_bisection_matches_sequential_ladder(self, d, log_neg, positive, scale, seed):
-        # lambda_min spans 10**-13 .. 10**4 times about the jitter base, so
-        # attempt 0 (positive) and the lower rungs are drawn; the cases above
-        # pin every rung and the all-rungs-fail case
-        base = 1e-10 * scale
-        rng = np.random.default_rng(seed)
-        lam_min = (1.0 if positive else -1.0) * base * 10.0**log_neg
-        eigvals = np.concatenate([[lam_min], scale * rng.uniform(0.1, 10.0, size=d - 1)])
-        _assert_matches_ladder(_with_spectrum(eigvals, seed))
-
-
 class TestSpdRepair:
     def test_spd_unchanged(self):
         m = np.array([[2.0, 0.5], [0.5, 1.0]])
@@ -243,9 +141,9 @@ class TestSpdRepair:
 
     def test_zero_matrix_first_escalation(self):
         # the jitter base is relative to the diagonal, so the zero matrix's
-        # first escalation, and every later one, adds 0
+        # jitter adds 0 and its retry fails as attempt 0 did
         assert scaled_jitter_eps(np.zeros((2, 2))) == 0.0
-        with pytest.raises(RepairFailed):
+        with pytest.raises(ValueError, match="not positive definite"):
             spd_repair(np.zeros((2, 2)))
 
     def test_rank_deficient_repaired(self):
@@ -254,7 +152,7 @@ class TestSpdRepair:
         assert np.array_equal(L, np.linalg.cholesky(out))
 
     def test_jitter_base_scales_with_diagonal(self):
-        # a scaled copy of a rank-deficient matrix is repaired at the same rung,
+        # a scaled copy of a rank-deficient matrix gets the scaled jitter,
         # below a unit diagonal too, and a power of two scales the bits exactly
         m = np.array([[1.0, 1.0], [1.0, 1.0]])
         for s in (1.0, 1e6, 1e-6):
@@ -283,19 +181,23 @@ class TestSpdRepair:
         with pytest.raises(ValueError, match="^matrix entries must be finite$"):
             spd_repair(m)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_repair_failed_after_escalations(self):
-        # off-diagonal dominant: eigenvalues -999 and 1001 against a unit
-        # diagonal. A diagonal matrix such as diag(-1e30, 1) is always
-        # repairable, since the largest jitter is 10 x the largest diagonal entry.
-        m = np.array([[1.0, 1e3], [1e3, 1.0]])
-        with pytest.raises(RepairFailed):
-            spd_repair(m)
+        # an indefinite matrix is not repaired, whatever its diagonal: the one
+        # jitter, 1e-10 x the largest diagonal magnitude, lifts no eigenvalue
+        # from -1, -999 or -1e30, and neither attempt warns
+        for m in (np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([[1.0, 1e3], [1e3, 1.0]]),
+                  np.diag([-1e30, 1.0])):
+            with spy_factorizations() as spy:
+                with pytest.raises(ValueError, match="^matrix not positive definite"):
+                    spd_repair(m)
+            assert [factor for _, _, factor in spy.calls] == [None, None]
 
 
 class TestSampleMvn:
     def test_determinism(self):
-        a = sample_mvn(np.zeros(2), np.eye(2), 3, RandomSource(42))
-        b = sample_mvn(np.zeros(2), np.eye(2), 3, RandomSource(42))
+        a = _sample(np.zeros(2), np.eye(2), 3, RandomSource(42))[0]
+        b = _sample(np.zeros(2), np.eye(2), 3, RandomSource(42))[0]
         assert np.array_equal(a, b)
 
     def test_variate_order_documented(self):
@@ -303,25 +205,26 @@ class TestSampleMvn:
         mean = np.array([1.0, -2.0])
         L = np.linalg.cholesky(np.array([[2.0, 0.3], [0.3, 1.0]]))
         k = 5
-        pts = sample_mvn(mean, L, k, RandomSource(11))
+        pts = _sample(mean, L, k, RandomSource(11))[0]
         z = RandomSource(11).standard_normals(k * 2).reshape(k, 2)
         manual = mean + z @ L.T
         assert np.array_equal(pts, manual)
 
     def test_sample_moments(self):
         k = 200_000
-        pts = sample_mvn(np.array([5.0, 5.0]), np.eye(2), k, RandomSource(123))
+        pts = _sample(np.array([5.0, 5.0]), np.eye(2), k, RandomSource(123))[0]
         mean_err = np.abs(pts.mean(axis=0) - 5.0)
         assert np.all(mean_err < 0.02)
         emp_cov = np.cov(pts, rowvar=False)
         assert np.abs(emp_cov - np.eye(2)).max() < 5 * np.sqrt(2.0 / k)
 
     def test_loop_draw_returns_its_variates(self):
-        # the loop's draw: the points of sample_mvn and the z behind them, in stream order
+        # the loop's draw: the points, as a second draw of the seed repeats them,
+        # and the z behind them, in stream order
         mean = np.array([1.0, -2.0, 0.5])
         L = np.linalg.cholesky(make_spd(np.random.default_rng(5), 3))
         points, z = _sample(mean, L, 4, RandomSource(11))
-        assert np.array_equal(points, sample_mvn(mean, L, 4, RandomSource(11)))
+        assert np.array_equal(points, _sample(mean, L, 4, RandomSource(11))[0])
         assert np.array_equal(z, RandomSource(11).standard_normals(12).reshape(4, 3))
         assert np.array_equal(points, mean + z @ L.T)
 
@@ -375,7 +278,7 @@ class TestMvnPdfBatch:
             cov = make_spd(rng, d, scale)
             mean = rng.normal(size=d)
             L = np.linalg.cholesky(cov)
-            points = sample_mvn(mean, L, 15, RandomSource(d))
+            points = _sample(mean, L, 15, RandomSource(d))[0]
             batch = np.exp(mvn_logpdf_batch(mean, L, points))
             assert np.array_equal(batch, [mvn_pdf(mean, cov, x) for x in points])
 
@@ -393,7 +296,7 @@ class TestMvnPdfBatch:
         scale = 10.0**log_scale
         L = np.linalg.cholesky(make_spd(rng, d, scale * scale))
         mean = scale * rng.normal(size=d)
-        points = mean + spread * sample_mvn(np.zeros(d), L, k, RandomSource(seed))
+        points = mean + spread * _sample(np.zeros(d), L, k, RandomSource(seed))[0]
         assert np.array_equal(mvn_logpdf_batch(mean, L, points),
                               oracles.mvn_logpdf_rows(mean, L, points))
 

@@ -10,7 +10,8 @@ import pytest
 
 from bcmaes import optimizer
 from bcmaes.benchmarks import FUNCTION_NAMES, cone, registry_lookup, schwefel2
-from bcmaes.errors import PriorDegeneracy, RepairFailed
+from bcmaes.errors import PriorDegeneracy
+from bcmaes.linalg import scaled_jitter_eps
 from bcmaes.niw import expected_covariance, expected_mean, posterior_update
 from bcmaes.optimizer import (
     STOP_CONTROLLER,
@@ -182,7 +183,7 @@ class TestBudget:
         # covariance and the updated scale are not factored again
         with spy_factorizations() as spy:
             result = run(_cone_config(max_iter=40), cone)
-        assert all(factor is not None for _, _, factor in spy.calls)  # no jitter rung was climbed
+        assert all(factor is not None for _, _, factor in spy.calls)  # no jitter was added
         assert len(spy.calls) == 2 * result.iterations
         assert spy.numpy["cholesky"] == 0
 
@@ -398,6 +399,39 @@ class TestStops:
         assert result.stop_reason == STOP_MAX_ITER
         assert result.iterations == 20
 
+    def test_certificate_jitters_at_most_once(self, monkeypatch):
+        # the tiny-sigma0 runs above: their belief is at times exactly singular,
+        # and each certificate then factors it once more, with one jitter
+        certificates = []
+        with spy_factorizations() as spy:
+            real = optimizer.spd_repair
+
+            def recording(m):
+                start = len(spy.calls)
+                out = real(m)
+                certificates.append((m, out, spy.calls[start:]))
+                return out
+
+            monkeypatch.setattr(optimizer, "spd_repair", recording)
+            for function in FUNCTION_NAMES:
+                for sigma0 in (1e-100, 1e-160):
+                    bench = registry_lookup(function, 2)
+                    run(OptimizerConfig(dim=2, x0=bench.default_x0, sigma0=sigma0, seed=1,
+                                        max_iter=20), bench.fn)
+        assert len(certificates) == 4 * 2 * 20
+        jittered = 0
+        for m, (out, chol), calls in certificates:
+            assert calls[0][0] is m
+            if calls[0][2] is not None:
+                assert len(calls) == 1 and out is m
+                continue
+            jittered += 1
+            assert len(calls) == 2
+            want = m + scaled_jitter_eps(m) * np.eye(2)
+            assert np.array_equal(calls[1][1], want) and calls[1][2] is not None
+            assert np.array_equal(out, want) and chol is calls[1][2]
+        assert jittered > 0
+
     def test_max_iter_stop(self):
         result = run(_cone_config(max_iter=5), cone)
         assert result.stop_reason == STOP_MAX_ITER
@@ -484,14 +518,15 @@ class TestStops:
     def test_unrepairable_updated_scale_raises_prior_degeneracy(self, monkeypatch):
         # posterior_update does not factor psi'; the next iteration's repair of
         # the belief covariance is its certificate. This scale has eigenvalues
-        # -999 and 1001, beyond the largest jitter (10x the largest diagonal entry).
+        # -999 and 1001: indefinite, so the certificate's one jitter does not help.
         def indefinite_update(p, s):
             return replace(posterior_update(p, s), psi=np.array([[1.0, 1e3], [1e3, 1.0]]))
 
         monkeypatch.setattr(optimizer, "posterior_update", indefinite_update)
         with pytest.raises(PriorDegeneracy, match="iteration 2") as info:
             run(_cone_config(max_iter=5), cone)
-        assert isinstance(info.value.__cause__, RepairFailed)
+        assert isinstance(info.value.__cause__, ValueError)
+        assert str(info.value.__cause__).startswith("matrix not positive definite")
 
 
 class TestOtherDimensions:

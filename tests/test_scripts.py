@@ -205,7 +205,7 @@ def test_check_ndtri_fails_on_a_one_ulp_difference(monkeypatch, capsys):
 
 def test_hash_traces_compares_equal_runs_and_sees_a_one_ulp_change(tmp_path, monkeypatch, capsys):
     script = load_script("hash_traces")
-    assert len(script.RUNS) == len({r.key for r in script.RUNS}) == 196
+    assert len(script.RUNS) == len({r.key for r in script.RUNS}) == 204
     # one d=2 run and one d=40 run with popsize 15 < d, shortened; the d=2 run
     # also pins its trace CSV, so there are three digests
     subset = [script.RUNS[0]._replace(max_iter=40),
