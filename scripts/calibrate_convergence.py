@@ -1,22 +1,30 @@
 #!/usr/bin/env python3
-"""Run the three convergence scans and check each against its reference in ``docs/convergence/``.
+"""The bits and convergence gate: check the trace digests and the three convergence scans.
 
-A scan runs every function of ``STUDY`` once per seed, from its default
-start with sigma0 = 1 and the default population size for the dimension,
-4 + floor(3 ln dim). ``SCANS`` fixes the three scans:
+One pass checks two references:
 
-- ``d2``: d=2, seeds 1-60, each function's own cap in ``STUDY``; the
-  study behind docs/calibration.md;
-- ``d10`` and ``d40``: d=10 and d=40, seeds 1-30, 300 iterations.
+- ``tests/golden_traces.json``, 244 SHA-256 digests. ``full``: one per run
+  of ``RUNS`` (204), over every ``IterationTrace`` field (floats as
+  ``float.hex``), then ``x_best``, ``f_best``, the stop reason, ``n_evals``
+  and ``nan_evals``, or over the exception a run raised. ``csv``: one per
+  d=2 run at sigma0 = 1 (40), over the trace CSV that the CLI's
+  ``run_experiment`` writes, one invocation per function and strategy.
+  ``RUNS`` covers all four functions at d=2 (both strategies at the
+  acceptance criterion 7 budgets; 20 iterations at sigma0 = 1e-100 and
+  1e-160, whose certificate adds jitter), d=10, d=40 with popsize 15 < d,
+  and d=100 at sigma0 = 1 and 1e3.
+- ``docs/convergence/<scan>.json``, the records of one scan of ``SCANS``:
+  every function of ``STUDY`` once per seed, from its default start with
+  sigma0 = 1 and the default popsize. A record says how the run was made
+  (``PARAMETERS``), the iteration whose best-so-far error first crosses the
+  threshold (null when it never does), the final error and its log10 (null
+  when not positive), the stop reason, and whether the run raised or
+  dilated.
 
-Each run gives one record: how it was made (function, seed, dim, popsize,
-max_iter, threshold), the iteration whose best-so-far error first crosses
-the threshold (null when it never does), the final best-so-far error and
-its log10 (null when the error is not positive), the stop reason, whether
-the run raised ``PriorDegeneracy`` and whether it dilated. The reference
-``docs/convergence/<scan>.json`` holds a scan's records.
-
-A scan is checked against its reference under a fixed rule, per function:
+Each distinct config (function, dim, resolved popsize, seed, max_iter,
+sigma0, strategy) runs once and feeds both references; only the CLI runs
+behind the CSV digests repeat a config. A scan is checked against its
+reference under a fixed rule, per function:
 
 - at d=2, neither the median nor the q3 crossing iteration may get worse,
   a run that never crosses the threshold counting as +inf; nor may the
@@ -27,32 +35,46 @@ A scan is checked against its reference under a fixed rule, per function:
 - no run of the scan may raise.
 
 Quantiles are linear percentiles, and an interpolation that touches an
-infinite value takes that value.
+infinite value takes that value. d=100 trajectories depend on the BLAS
+thread count, so ``OPENBLAS_NUM_THREADS`` defaults to 1; a value already
+set is kept and recorded in the golden file.
 
 Usage:
     PYTHONPATH=src python scripts/calibrate_convergence.py [--write]
 
-With no flag every scan runs, and ``<scan> <function>: ok`` or ``FAIL``
-is printed per scan and function; a missing reference prints
-``<scan>: missing``. The exit status is 1 on any violation or missing
-reference, and 2 when a reference was made with another dimension or
-other runs than its scan. ``--write`` runs the same check, then writes
-every scan's records to its reference only when no comparison failed, for
-a change meant to move bits; a missing reference is created.
+Prints each key whose digest differs, is missing from the golden file or is
+extra in it, then ``N/N equal``; then ``<scan> <function>: ok`` or ``FAIL``,
+or ``<scan>: missing``. The run count and wall time go to stderr. Exits 1
+on any digest difference, violation or missing reference, and 2, before
+writing anything, when a reference was made with another dimension or other
+runs than its scan. ``--write`` then rewrites the golden file and every
+reference, unless a convergence comparison failed: moving bits is what it
+is for, so a digest difference does not block it.
 """
 
-import argparse
-import itertools
-import json
-import math
-import sys
-from pathlib import Path
+import os
 
-from bcmaes.benchmarks import registry_lookup
-from bcmaes.errors import PriorDegeneracy
-from bcmaes.optimizer import OptimizerConfig, run
+BLAS_THREADS = os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-REFERENCES = Path(__file__).resolve().parent.parent / "docs" / "convergence"
+import argparse  # noqa: E402
+import contextlib  # noqa: E402
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import itertools  # noqa: E402
+import json  # noqa: E402
+import math  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+from typing import NamedTuple, Optional  # noqa: E402
+
+from bcmaes import BcmaesError, OptimizerConfig, default_popsize, registry_lookup, run  # noqa: E402
+from bcmaes.cli import RunSpec, run_experiment  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden_traces.json"
+REFERENCES = ROOT / "docs" / "convergence"
 
 # (threshold on error_vs_min, iteration cap of the d=2 scan)
 STUDY = {
@@ -69,29 +91,96 @@ SCANS = {
     "d40": (40, range(1, 31), 300),
 }
 
+# acceptance criterion 7 budgets at d=2
+BUDGETS = {"cone": 900, "schwefel2": 1500, "rastrigin": 500, "schwefel1": 500}
+
 # the record fields that say how a run was made
 PARAMETERS = ("function", "seed", "dim", "popsize", "max_iter", "threshold")
 
 MAX_LOG10_RISE = 0.1
 
 
+class Run(NamedTuple):
+    function: str
+    dim: int
+    popsize: Optional[int]
+    seed: int
+    max_iter: int
+    sigma0: float = 1.0
+    strategy: str = "s2"
+
+    @property
+    def key(self) -> str:
+        return (f"{self.function}_d{self.dim}_k{self.popsize or 'default'}_sigma{self.sigma0:g}"
+                f"_{self.strategy}_i{self.max_iter}_{self.seed}")
+
+    def resolved(self) -> "Run":
+        """This run with its population size resolved, so both ways to ask for the default match."""
+        return self._replace(popsize=self.popsize or default_popsize(self.dim))
+
+
+RUNS = (
+    [Run(f, 2, None, seed, BUDGETS[f], strategy=s)
+     for s in ("s1", "s2") for f in STUDY for seed in (4, 5, 7, 12, 13)]
+    + [Run(f, 40, 15, seed, 300) for seed in range(1, 31) for f in STUDY]
+    + [Run(f, 10, None, seed, 300) for seed in (1, 2, 3) for f in STUDY]
+    + [Run(f, 100, None, seed, 300, sigma0)
+       for sigma0 in (1.0, 1e3) for seed in (1, 2, 3) for f in STUDY]
+    + [Run(f, 2, None, 1, 20, sigma0) for sigma0 in (1e-100, 1e-160) for f in STUDY]
+)
+
+
+def scan_runs(name):
+    """The runs of scan ``name``, in the order of its records."""
+    dim, seeds, cap = SCANS[name]
+    return [Run(f, dim, None, seed, cap or own_cap)
+            for f, (_, own_cap) in STUDY.items() for seed in seeds]
+
+
+def outcome(r: Run):
+    """The ``RunResult`` of run ``r``, or the ``BcmaesError`` it raised."""
+    bench = registry_lookup(r.function, r.dim)
+    config = OptimizerConfig(dim=r.dim, x0=bench.default_x0, sigma0=r.sigma0, popsize=r.popsize,
+                             max_iter=r.max_iter, strategy=r.strategy, seed=r.seed)
+    try:
+        return run(config, bench.fn)
+    except BcmaesError as exc:
+        return exc
+
+
+def digest(result) -> str:
+    """SHA-256 of one run's trace and result, floats in hex, or of the error it raised."""
+    h = hashlib.sha256()
+    if isinstance(result, BcmaesError):
+        h.update(f"{type(result).__name__}: {result}".encode())
+        return h.hexdigest()
+    for t in result.trace:
+        fields = [str(t.iter), t.f_best_iter.hex(), t.f_min_so_far.hex(),
+                  *(float(v).hex() for v in t.expected_mean), t.cov_frobenius_norm.hex(),
+                  str(t.retrial), t.event]
+        h.update((",".join(fields) + "\n").encode())
+    h.update(",".join([*(float(v).hex() for v in result.x_best), float(result.f_best).hex(),
+                       result.stop_reason, str(result.n_evals),
+                       str(result.nan_evals)]).encode())
+    return h.hexdigest()
+
+
 def first_cross(trace, threshold, reference):
     return next((t.iter for t in trace if t.f_min_so_far - reference <= threshold), None)
 
 
-def scan_run(function, bench, cfg):
-    """One seeded run of a scan, as a JSON-ready record."""
-    threshold = STUDY[function][0]
-    record = dict(zip(PARAMETERS, (function, cfg.seed, cfg.dim, cfg.k, cfg.max_iter, threshold)))
-    try:
-        result = run(cfg, bench.fn)
-    except PriorDegeneracy as exc:
+def scan_record(r: Run, result):
+    """The JSON-ready record of resolved run ``r`` with outcome ``result``."""
+    threshold = STUDY[r.function][0]
+    record = dict(zip(PARAMETERS, (r.function, r.seed, r.dim, r.popsize, r.max_iter, threshold)))
+    if isinstance(result, BcmaesError):
         return {**record, "crossing": None, "final_error": None, "final_log10_error": None,
-                "stop_reason": None, "raised": True, "error": str(exc), "dilated": False}
-    error = result.f_best - bench.global_min_value
+                "stop_reason": None, "raised": True, "error": str(result), "dilated": False}
+    minimum = registry_lookup(r.function, r.dim).global_min_value
+    error = result.f_best - minimum
     return {
         **record,
-        "crossing": first_cross(result.trace, threshold, bench.global_min_value),
+        "crossing": first_cross(result.trace, threshold, minimum),
         "final_error": error,
         "final_log10_error": math.log10(error) if error > 0 else None,
         "stop_reason": result.stop_reason,
@@ -101,16 +190,64 @@ def scan_run(function, bench, cfg):
     }
 
 
-def scan(name):
-    """The document of scan ``name``: its dimension, seed count and records."""
-    dim, seeds, cap = SCANS[name]
-    runs = []
-    for function, (_, own_cap) in STUDY.items():
-        bench = registry_lookup(function, dim)
-        runs += [scan_run(function, bench, OptimizerConfig(
-            dim=dim, x0=bench.default_x0, sigma0=1.0, seed=seed, max_iter=cap or own_cap))
-            for seed in seeds]
-    return {"dim": dim, "seeds": len(seeds), "runs": runs}
+def csv_digests(runs: list[Run], out_dir: str) -> dict[str, str]:
+    """Trace-CSV digests of one ``run_experiment`` over ``runs``, which differ only in seed."""
+    r = runs[0]
+    spec = RunSpec(function=r.function, dim=r.dim, strategy=r.strategy,
+                   seeds=tuple(run.seed for run in runs), popsize=r.popsize,
+                   max_iter=r.max_iter, sigma0=r.sigma0, x0=None, out_dir=out_dir)
+    with contextlib.redirect_stdout(io.StringIO()):
+        status = run_experiment(spec)
+    if status != 0:
+        raise RuntimeError(f"run_experiment exited {status} for {r.function} {r.strategy}")
+    names = [f"{r.function}_{r.strategy}_{run.seed}.csv" for run in runs]
+    return {name: hashlib.sha256((Path(out_dir) / name).read_bytes()).hexdigest()
+            for name in names}
+
+
+def measure():
+    """Run ``RUNS``, the CLI and the scans; return the digests, the scans' documents and the count.
+
+    The digests come in the golden file's layout. Each distinct resolved
+    config runs once, and its outcome feeds every digest and record of it.
+    """
+    scans = {name: scan_runs(name) for name in SCANS}
+    keys = {}  # resolved config -> the keys of RUNS that make it
+    for r in RUNS:
+        keys.setdefault(r.resolved(), []).append(r.key)
+    for r in itertools.chain(*scans.values()):
+        keys.setdefault(r.resolved(), [])
+    full, records = {}, {}
+    for config, names in keys.items():
+        result = outcome(config)
+        full.update((key, digest(result)) for key in names)
+        records[config] = scan_record(config, result)
+    csv: dict[str, str] = {}
+    with tempfile.TemporaryDirectory() as out_dir:
+        d2 = [r for r in RUNS if r.dim == 2 and r.sigma0 == 1.0]
+        for _, runs in itertools.groupby(d2, key=lambda r: r._replace(seed=0)):
+            csv.update(csv_digests(list(runs), out_dir))
+    docs = {name: {"dim": SCANS[name][0], "seeds": len(SCANS[name][1]),
+                   "runs": [records[r.resolved()] for r in runs]}
+            for name, runs in scans.items()}
+    digests = {"openblas_num_threads": BLAS_THREADS, "csv": csv, "full": full}
+    return digests, docs, len(keys) + len(csv)
+
+
+def check_digests(golden: dict, new: dict) -> bool:
+    """Print every key whose digest is not the golden one; return whether any is not."""
+    if golden and golden.get("openblas_num_threads") != new["openblas_num_threads"]:
+        print(f"note: OPENBLAS_NUM_THREADS {new['openblas_num_threads']}, the file was "
+              f"written under {golden.get('openblas_num_threads')}")
+    want = {**golden.get("csv", {}), **golden.get("full", {})}
+    got = {**new["csv"], **new["full"]}
+    keys = sorted(set(want) | set(got))
+    differ = [key for key in keys if want.get(key) != got.get(key)]
+    for key in differ:
+        side = "missing" if key not in want else "extra" if key not in got else "differs"
+        print(f"{key}: {side}")
+    print(f"{len(keys) - len(differ)}/{len(keys)} equal")
+    return bool(differ)
 
 
 def quantile(values, q):
@@ -198,26 +335,32 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--write", action="store_true",
-                        help="rewrite every reference, only when no comparison failed")
+                        help="rewrite the golden file and every reference, "
+                             "only when no convergence comparison failed")
     args = parser.parse_args(argv)
-    docs, failed = {}, False
-    for name in SCANS:
-        docs[name] = scan(name)
+    start = time.perf_counter()
+    digests, docs, runs = measure()
+    print(f"{runs} runs in {time.perf_counter() - start:.1f} s", file=sys.stderr)
+    differ = check_digests(json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}, digests)
+    failed = False
+    for name, doc in docs.items():
         path = REFERENCES / f"{name}.json"
         if not path.exists():
             print(f"{name}: missing")
             failed |= not args.write
             continue
-        code = compare(name, json.loads(path.read_text()), docs[name])
+        code = compare(name, json.loads(path.read_text()), doc)
         if code == 2:
             return 2
         failed |= code == 1
-    if args.write and not failed:
-        for name, doc in docs.items():
-            with open(REFERENCES / f"{name}.json", "w") as fh:
-                json.dump(doc, fh, indent=1)
-                fh.write("\n")
-    return 1 if failed else 0
+    if not args.write or failed:
+        return 1 if failed or differ else 0
+    GOLDEN.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
+    for name, doc in docs.items():
+        with open(REFERENCES / f"{name}.json", "w") as fh:
+            json.dump(doc, fh, indent=1)
+            fh.write("\n")
+    return 0
 
 
 if __name__ == "__main__":

@@ -30,8 +30,8 @@ def cone(x) -> float:
     are scaled by the largest magnitude first, as in
     :func:`~bcmaes.linalg.frobenius_norm`. So a point below about 1e-162 per
     entry no longer reads 0 (``cone([1e-170, 1e-170])`` is ``sqrt(2) * 1e-170``),
-    and ``cone([1e200, 1e200])`` is 1.414e200, where ``np.linalg.norm`` and
-    earlier versions give inf.
+    and ``cone([1e200, 1e200])`` is 1.414e200, with no overflow warning, where
+    ``np.linalg.norm`` and earlier versions give inf.
     """
     return _norm(np.asarray(x, dtype=float))
 

@@ -33,8 +33,8 @@ def load_script(name: str):
     """Import ``scripts/<name>.py`` as a module, without running its ``main``.
 
     ``os.environ`` is restored afterwards, so a default that the script sets
-    at import (``hash_traces.py``'s ``OPENBLAS_NUM_THREADS``) does not reach
-    the subprocesses of other tests.
+    at import (``calibrate_convergence.py``'s ``OPENBLAS_NUM_THREADS``) does
+    not reach the subprocesses of other tests.
     """
     spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     script = importlib.util.module_from_spec(spec)

@@ -1,7 +1,7 @@
 """Golden trajectories: runs must keep the bits pinned in ``golden_traces.json``.
 
-``scripts/hash_traces.py`` computes every digest of that file and checks all
-244 of them; this module checks 52 through the script's routines:
+``scripts/calibrate_convergence.py`` computes every digest of that file and
+checks all 244 of them; this module checks 52 through the script's routines:
 
 - the trace CSVs that ``run_experiment`` writes for the 40 d=2 runs, both
   mean strategies, at the acceptance criterion 7 budgets, one invocation
@@ -12,9 +12,10 @@
   which the d=2 runs almost never do.
 
 A refactor that changes one bit of these trajectories fails here. A change
-meant to move bits re-runs the calibration scans and regenerates the file::
+meant to move bits re-runs the convergence scans and, when they pass,
+regenerates the file and the scans' references in one step::
 
-    PYTHONPATH=src python scripts/hash_traces.py --write
+    PYTHONPATH=src python scripts/calibrate_convergence.py --write
 """
 
 import json
@@ -23,23 +24,23 @@ import pytest
 
 from _util import load_script
 
-hash_traces = load_script("hash_traces")
-FULL_RUNS = [r for r in hash_traces.RUNS
+gate = load_script("calibrate_convergence")
+FULL_RUNS = [r for r in gate.RUNS
              if (r.dim, r.popsize, r.seed) in {(10, None, 1), (40, 15, 3), (40, 15, 5)}]
 assert len(FULL_RUNS) == 12
 
 
 @pytest.fixture(scope="module")
 def golden():
-    return json.loads(hash_traces.GOLDEN.read_text())
+    return json.loads(gate.GOLDEN.read_text())
 
 
 @pytest.mark.parametrize("strategy", ("s1", "s2"))
-@pytest.mark.parametrize("function", hash_traces.FUNCTIONS)
+@pytest.mark.parametrize("function", tuple(gate.STUDY))
 def test_trace_csv_matches_pinned_digest(function, strategy, tmp_path, golden):
-    runs = [r for r in hash_traces.RUNS
+    runs = [r for r in gate.RUNS
             if (r.dim, r.sigma0, r.function, r.strategy) == (2, 1.0, function, strategy)]
-    digests = hash_traces.csv_digests(runs, str(tmp_path))
+    digests = gate.csv_digests(runs, str(tmp_path))
     assert len(digests) == 5
     assert digests == {name: golden["csv"][name] for name in digests}
 
@@ -47,4 +48,4 @@ def test_trace_csv_matches_pinned_digest(function, strategy, tmp_path, golden):
 @pytest.mark.parametrize("r", FULL_RUNS,
                          ids=lambda r: f"{r.function}-{r.dim}-{r.popsize}-{r.seed}")
 def test_full_trace_matches_pinned_digest(r, golden):
-    assert hash_traces.digest(r) == golden["full"][r.key]
+    assert gate.digest(gate.outcome(r)) == golden["full"][r.key]

@@ -333,13 +333,13 @@ def test_frobenius_norm():
     assert frobenius_norm(np.zeros((2, 2))) == 0.0
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("peak", [1e-300, 1e-200, 1e-155, 1e155, 1e200, 1e300, 1.7e308])
 def test_frobenius_norm_finite_where_the_squares_overflow(peak):
     # the squares overflow above about 1e154 and fall below the smallest normal
-    # float, losing precision down to 0, below about 1e-154
+    # float, losing precision down to 0, below about 1e-154; neither warns
     m = np.array([[peak, -0.5 * peak], [-0.5 * peak, 0.25 * peak]])
-    with np.errstate(over="ignore"):
-        got = frobenius_norm(m)
+    got = frobenius_norm(m)
     want = math.hypot(*m.ravel().tolist())  # hypot scales internally
     if math.isfinite(want):
         assert got == pytest.approx(want, rel=1e-15, abs=0)

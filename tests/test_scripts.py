@@ -1,4 +1,4 @@
-"""The convergence gate and its rule, the ndtri check, the trace hashes and the reproduction script."""
+"""The bits and convergence gate, its rule and its trace digests, and the reproduction script."""
 
 import copy
 import json
@@ -9,31 +9,50 @@ import sys
 import numpy as np
 import pytest
 
+from bcmaes import registry_lookup
+
 from _util import ROOT, load_script
 
 D2_REFERENCE = ROOT / "docs" / "convergence" / "d2.json"
 
 
 GATE = load_script("calibrate_convergence")
+RUNS = GATE.RUNS  # the committed digest list, which the fixture below replaces
 # one short d=2 scan over two seeds and one d=10 run per function
 SUBSET = {"d2": (2, range(1, 3), 20), "d10": (10, range(1, 2), 10)}
+# one d=2 run, shortened, whose trace CSV is pinned too: two digests
+DIGESTED = [RUNS[0]._replace(max_iter=20)]
 
 
 @pytest.fixture
 def gate(tmp_path, monkeypatch):
-    """The gate on ``SUBSET``, with its references in ``tmp_path``."""
+    """The gate on ``SUBSET`` and ``DIGESTED``, with its references in ``tmp_path``."""
     monkeypatch.setattr(GATE, "SCANS", SUBSET)
+    monkeypatch.setattr(GATE, "RUNS", DIGESTED)
     monkeypatch.setattr(GATE, "REFERENCES", tmp_path)
+    monkeypatch.setattr(GATE, "GOLDEN", tmp_path / "golden.json")
     return GATE
 
 
+def _restyle_golden(gate):
+    """Rewrite the golden file with the same digests in other bytes, so any rewrite shows."""
+    gate.GOLDEN.write_text(json.dumps(json.loads(gate.GOLDEN.read_text())))
+
+
 def test_calibration_scan_json_records(gate, tmp_path, capsys):
-    # a missing reference fails the check, and --write creates it
+    # a missing golden file or reference fails the check, and --write creates them
     for argv, code in (([], 1), (["--write"], 0)):
         assert gate.main(argv) == code
-        assert capsys.readouterr().out.splitlines() == ["d2: missing", "d10: missing"]
+        out = capsys.readouterr()
+        assert out.out.splitlines() == [f"{DIGESTED[0].key}: missing", "cone_s1_4.csv: missing",
+                                        "0/2 equal", "d2: missing", "d10: missing"]
+        # 12 scan runs, the digested run and its CLI run
+        assert out.err.startswith("14 runs in ")
+    assert sorted(json.loads(gate.GOLDEN.read_text())) == ["csv", "full", "openblas_num_threads"]
     assert gate.main([]) == 0
-    assert [line.split(":")[:2] for line in capsys.readouterr().out.splitlines()] == [
+    digests, *lines = capsys.readouterr().out.splitlines()
+    assert digests == "2/2 equal"
+    assert [line.split(":")[:2] for line in lines] == [
         [f"{scan} {f}", " ok"] for scan in SUBSET for f in gate.STUDY]
     keys = list(json.loads(D2_REFERENCE.read_text())["runs"][0])
     for scan, dim, popsize, seeds, cap in (("d2", 2, 6, (1, 2), 20), ("d10", 10, 10, (1,), 10)):
@@ -51,6 +70,22 @@ def test_calibration_scan_json_records(gate, tmp_path, capsys):
             assert r["crossing"] is None or 1 <= r["crossing"] <= cap
 
 
+def test_calibration_gate_writes_over_a_digest_difference(gate, capsys):
+    assert gate.main(["--write"]) == 0
+    written = gate.GOLDEN.read_text()
+    doc = json.loads(written)
+    doc["full"][DIGESTED[0].key] = "0" * 64
+    gate.GOLDEN.write_text(json.dumps(doc))
+    capsys.readouterr()
+    # moving bits is what --write is for: a digest difference fails the
+    # check, but only a convergence failure blocks the write
+    for argv, code in (([], 1), (["--write"], 0)):
+        assert gate.main(argv) == code
+        assert capsys.readouterr().out.splitlines()[:2] == [f"{DIGESTED[0].key}: differs",
+                                                            "1/2 equal"]
+    assert gate.GOLDEN.read_text() == written
+
+
 def test_calibration_gate_fails_a_better_reference_and_keeps_it(gate, tmp_path, capsys):
     assert gate.main(["--write"]) == 0
     reference = tmp_path / "d10.json"
@@ -58,11 +93,13 @@ def test_calibration_gate_fails_a_better_reference_and_keeps_it(gate, tmp_path, 
     for r in doc["runs"]:
         r["final_log10_error"] -= 1
     reference.write_text(json.dumps(doc))
+    _restyle_golden(gate)
     written = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     capsys.readouterr()
     for argv in ([], ["--write"]):
         assert gate.main(argv) == 1
-        lines = capsys.readouterr().out.splitlines()
+        digests, *lines = capsys.readouterr().out.splitlines()
+        assert digests == "2/2 equal"
         assert len(lines) == 8 and all(line.startswith("d10 ") == (": FAIL: " in line)
                                        for line in lines)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == written
@@ -86,16 +123,50 @@ def test_calibration_gate_refuses_a_reference_made_otherwise(gate, tmp_path, cap
     doc = json.loads(reference.read_text())
     message = doctor(doc)
     reference.write_text(json.dumps(doc))
+    _restyle_golden(gate)
+    written = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     for argv in ([], ["--write"]):
         assert gate.main(argv) == 2
         assert message in capsys.readouterr().err
-        assert reference.read_text() == json.dumps(doc)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == written
+
+
+def test_gate_runs_a_config_shared_by_a_digest_and_a_scan_once(gate, monkeypatch, capsys):
+    # SUBSET's d10 cone run of seed 1, asking for the default popsize by its value
+    shared = GATE.Run("cone", 10, 10, 1, 10)
+    monkeypatch.setattr(GATE, "RUNS", [shared])
+    real, made = GATE.run, []
+
+    def counting(config, fn):
+        made.append((fn, config.dim, config.k, config.seed, config.max_iter))
+        return real(config, fn)
+
+    monkeypatch.setattr(GATE, "run", counting)
+    assert gate.main(["--write"]) == 0
+    # the 12 scan runs, each once; the digest comes from the scan's run
+    assert len(made) == len(set(made)) == 12
+    assert made.count((registry_lookup("cone", 10).fn, 10, 10, 1, 10)) == 1
+    assert capsys.readouterr().err.startswith("12 runs in ")
+    monkeypatch.setattr(GATE, "run", real)
+    golden = json.loads(gate.GOLDEN.read_text())
+    assert golden["full"] == {shared.key: GATE.digest(GATE.outcome(shared))}
 
 
 def test_convergence_references_hold_the_scans_runs():
-    # the committed references, checked against the table without running it
+    # the committed references, checked against the tables without running them
     from bcmaes import default_popsize
 
+    golden = json.loads(GATE.GOLDEN.read_text())
+    assert len(RUNS) == len({r.key for r in RUNS}) == 204
+    assert sorted(golden["full"]) == sorted(r.key for r in RUNS)
+    assert sorted(golden["csv"]) == sorted(f"{r.function}_{r.strategy}_{r.seed}.csv"
+                                           for r in RUNS if r.dim == 2 and r.sigma0 == 1.0)
+    assert len(golden["csv"]) == 40
+    # 142 of the 204 digested runs are scan runs too: a pass runs 542 configs
+    # once each, and the CLI runs behind the 40 CSVs
+    digested = {r.resolved() for r in RUNS}
+    scanned = {r.resolved() for scan in GATE.SCANS for r in GATE.scan_runs(scan)}
+    assert (len(digested & scanned), len(digested | scanned)) == (142, 542)
     assert sorted(p.name for p in D2_REFERENCE.parent.iterdir()) == sorted(
         f"{scan}.json" for scan in GATE.SCANS)
     for scan, (dim, seeds, cap) in GATE.SCANS.items():
@@ -180,41 +251,16 @@ def test_comparator_sees_a_lost_rastrigin_crossing(capsys):
     assert "WORSE" in line.split("crossed ")[1]
 
 
-def _check_ndtri(*args):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    return subprocess.run([sys.executable, str(ROOT / "scripts" / "check_ndtri.py"), *args],
-                          env=env, capture_output=True, text=True)
-
-
-def test_check_ndtri_passes_the_port():
-    out = _check_ndtri("20000", "--seed", "3")
-    assert out.returncode == 0, out.stdout + out.stderr
-    stream, edges = out.stdout.splitlines()
-    assert stream.startswith("stream: 20000 variates of seed 3, 0 mismatches")
-    assert edges.endswith(" 0 mismatches")
-
-
-def test_check_ndtri_fails_on_a_one_ulp_difference(monkeypatch, capsys):
-    script = load_script("check_ndtri")
-    exact = script.ndtri
-    monkeypatch.setattr(script, "ndtri", lambda u: np.nextafter(exact(u), np.inf))
-    monkeypatch.setattr(sys, "argv", ["check_ndtri.py", "1000"])
-    assert script.main() == 1
-    assert "stream: 1000 variates of seed 1, 1000 mismatches" in capsys.readouterr().out
-
-
-def test_hash_traces_compares_equal_runs_and_sees_a_one_ulp_change(tmp_path, monkeypatch, capsys):
-    script = load_script("hash_traces")
-    assert len(script.RUNS) == len({r.key for r in script.RUNS}) == 204
+def test_gate_compares_equal_digests_and_sees_a_one_ulp_change(gate, monkeypatch, capsys):
     # one d=2 run and one d=40 run with popsize 15 < d, shortened; the d=2 run
-    # also pins its trace CSV, so there are three digests
-    subset = [script.RUNS[0]._replace(max_iter=40),
-              next(r for r in script.RUNS if r.dim == 40)._replace(max_iter=20)]
-    golden = tmp_path / "golden.json"
-    monkeypatch.setattr(script, "RUNS", subset)
-    monkeypatch.setattr(script, "GOLDEN", golden)
-    assert script.main(["--write"]) == 0
-    assert script.main([]) == 0
+    # also pins its trace CSV, so there are three digests; no scan
+    subset = [RUNS[0]._replace(max_iter=40),
+              next(r for r in RUNS if r.dim == 40)._replace(max_iter=20)]
+    golden = gate.GOLDEN
+    monkeypatch.setattr(gate, "RUNS", subset)
+    monkeypatch.setattr(gate, "SCANS", {})
+    assert gate.main(["--write"]) == 0
+    assert gate.main([]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "3/3 equal"
 
     # one ulp on every covariance norm of the d=40 run alone
@@ -223,7 +269,7 @@ def test_hash_traces_compares_equal_runs_and_sees_a_one_ulp_change(tmp_path, mon
     exact = optimizer.frobenius_norm
     monkeypatch.setattr(optimizer, "frobenius_norm",
                         lambda m: np.nextafter(exact(m), np.inf) if m.shape[0] == 40 else exact(m))
-    assert script.main([]) == 1
+    assert gate.main([]) == 1
     assert capsys.readouterr().out.splitlines() == [f"{subset[1].key}: differs", "2/3 equal"]
 
     # a key dropped from the file, and one the runs no longer make
@@ -231,14 +277,14 @@ def test_hash_traces_compares_equal_runs_and_sees_a_one_ulp_change(tmp_path, mon
     doc = json.loads(golden.read_text())
     doc["full"]["zz_stale"] = doc["full"].pop(subset[0].key)
     golden.write_text(json.dumps(doc))
-    assert script.main([]) == 1
+    assert gate.main([]) == 1
     assert capsys.readouterr().out.splitlines() == [
         f"{subset[0].key}: missing", "zz_stale: extra", "2/4 equal"]
 
     # a CLI run that reports a failure, whatever CSVs it left
-    monkeypatch.setattr(script, "run_experiment", lambda spec: 1)
+    monkeypatch.setattr(gate, "run_experiment", lambda spec: 1)
     with pytest.raises(RuntimeError, match="exited 1"):
-        script.main([])
+        gate.main([])
 
 
 def test_reproduce_convergence_writes_what_the_cli_writes(tmp_path):
