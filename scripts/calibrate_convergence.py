@@ -7,8 +7,8 @@ One pass checks two references:
   of ``RUNS`` (204), over every ``IterationTrace`` field (floats as
   ``float.hex``), then ``x_best``, ``f_best``, the stop reason, ``n_evals``
   and ``nan_evals``, or over the exception a run raised. ``csv``: one per
-  d=2 run at sigma0 = 1 (40), over the trace CSV that the CLI's
-  ``run_experiment`` writes, one invocation per function and strategy.
+  d=2 run at sigma0 = 1 (40), over its trace CSV, written from the run's
+  result by the CLI's own writer, as ``run_experiment`` writes it.
   ``RUNS`` covers all four functions at d=2 (both strategies at the
   acceptance criterion 7 budgets; 20 iterations at sigma0 = 1e-100 and
   1e-160, whose certificate adds jitter), d=10, d=40 with popsize 15 < d,
@@ -22,8 +22,7 @@ One pass checks two references:
   dilated.
 
 Each distinct config (function, dim, resolved popsize, seed, max_iter,
-sigma0, strategy) runs once and feeds both references; only the CLI runs
-behind the CSV digests repeat a config. A scan is checked against its
+sigma0, strategy) runs once and feeds both references. A scan is checked against its
 reference under a fixed rule, per function:
 
 - at d=2, neither the median nor the q3 crossing iteration may get worse,
@@ -57,9 +56,7 @@ import os
 BLAS_THREADS = os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse  # noqa: E402
-import contextlib  # noqa: E402
 import hashlib  # noqa: E402
-import io  # noqa: E402
 import itertools  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
@@ -70,7 +67,7 @@ from pathlib import Path  # noqa: E402
 from typing import NamedTuple, Optional  # noqa: E402
 
 from bcmaes import BcmaesError, OptimizerConfig, default_popsize, registry_lookup, run  # noqa: E402
-from bcmaes.cli import RunSpec, run_experiment  # noqa: E402
+from bcmaes.cli import write_trace_csv  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden_traces.json"
@@ -190,48 +187,40 @@ def scan_record(r: Run, result):
     }
 
 
-def csv_digests(runs: list[Run], out_dir: str) -> dict[str, str]:
-    """Trace-CSV digests of one ``run_experiment`` over ``runs``, which differ only in seed."""
-    r = runs[0]
-    spec = RunSpec(function=r.function, dim=r.dim, strategy=r.strategy,
-                   seeds=tuple(run.seed for run in runs), popsize=r.popsize,
-                   max_iter=r.max_iter, sigma0=r.sigma0, x0=None, out_dir=out_dir)
-    with contextlib.redirect_stdout(io.StringIO()):
-        status = run_experiment(spec)
-    if status != 0:
-        raise RuntimeError(f"run_experiment exited {status} for {r.function} {r.strategy}")
-    names = [f"{r.function}_{r.strategy}_{run.seed}.csv" for run in runs]
-    return {name: hashlib.sha256((Path(out_dir) / name).read_bytes()).hexdigest()
-            for name in names}
+def csv_digest(r: Run, result, out_dir: str) -> tuple[str, str]:
+    """The name and digest of d=2 run ``r``'s trace CSV, written from its ``result``."""
+    name = f"{r.function}_{r.strategy}_{r.seed}.csv"
+    path = Path(out_dir) / name
+    write_trace_csv(str(path), result.trace, registry_lookup(r.function, r.dim).global_min_value)
+    return name, hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def measure():
-    """Run ``RUNS``, the CLI and the scans; return the digests, the scans' documents and the count.
+    """Run ``RUNS`` and the scans; return the digests, the scans' documents and the run count.
 
     The digests come in the golden file's layout. Each distinct resolved
     config runs once, and its outcome feeds every digest and record of it.
+    A run that raised writes no CSV, so its CSV digest is missing.
     """
     scans = {name: scan_runs(name) for name in SCANS}
-    keys = {}  # resolved config -> the keys of RUNS that make it
+    made_by = {}  # resolved config -> the runs of RUNS that make it
     for r in RUNS:
-        keys.setdefault(r.resolved(), []).append(r.key)
+        made_by.setdefault(r.resolved(), []).append(r)
     for r in itertools.chain(*scans.values()):
-        keys.setdefault(r.resolved(), [])
-    full, records = {}, {}
-    for config, names in keys.items():
-        result = outcome(config)
-        full.update((key, digest(result)) for key in names)
-        records[config] = scan_record(config, result)
-    csv: dict[str, str] = {}
+        made_by.setdefault(r.resolved(), [])
+    full, records, csv = {}, {}, {}
     with tempfile.TemporaryDirectory() as out_dir:
-        d2 = [r for r in RUNS if r.dim == 2 and r.sigma0 == 1.0]
-        for _, runs in itertools.groupby(d2, key=lambda r: r._replace(seed=0)):
-            csv.update(csv_digests(list(runs), out_dir))
+        for config, runs in made_by.items():
+            result = outcome(config)
+            records[config] = scan_record(config, result)
+            full.update((r.key, digest(result)) for r in runs)
+            csv.update(csv_digest(r, result, out_dir) for r in runs
+                       if r.dim == 2 and r.sigma0 == 1.0 and not isinstance(result, BcmaesError))
     docs = {name: {"dim": SCANS[name][0], "seeds": len(SCANS[name][1]),
                    "runs": [records[r.resolved()] for r in runs]}
             for name, runs in scans.items()}
     digests = {"openblas_num_threads": BLAS_THREADS, "csv": csv, "full": full}
-    return digests, docs, len(keys) + len(csv)
+    return digests, docs, len(made_by)
 
 
 def check_digests(golden: dict, new: dict) -> bool:

@@ -5,7 +5,8 @@ checks all 244 of them; this module checks 52 through the script's routines:
 
 - the trace CSVs that ``run_experiment`` writes for the 40 d=2 runs, both
   mean strategies, at the acceptance criterion 7 budgets, one invocation
-  over all five seeds per function and strategy;
+  over all five seeds per function and strategy. The script writes them
+  from the runs' results with the CLI's writer, so this pins the CLI path;
 - the full-trace digests of 12 runs at d=10 and at d=40 with popsize 15 < d.
   Their covariance estimate is indefinite in about half (d=10) and nine in
   ten (d=40) of their iterations and takes its closed-form shift there,
@@ -18,9 +19,14 @@ regenerates the file and the scans' references in one step::
     PYTHONPATH=src python scripts/calibrate_convergence.py --write
 """
 
+import contextlib
+import hashlib
+import io
 import json
 
 import pytest
+
+from bcmaes.cli import RunSpec, run_experiment
 
 from _util import load_script
 
@@ -40,7 +46,13 @@ def golden():
 def test_trace_csv_matches_pinned_digest(function, strategy, tmp_path, golden):
     runs = [r for r in gate.RUNS
             if (r.dim, r.sigma0, r.function, r.strategy) == (2, 1.0, function, strategy)]
-    digests = gate.csv_digests(runs, str(tmp_path))
+    spec = RunSpec(function=function, dim=2, strategy=strategy,
+                   seeds=tuple(r.seed for r in runs), popsize=None, max_iter=runs[0].max_iter,
+                   sigma0=1.0, x0=None, out_dir=str(tmp_path))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run_experiment(spec) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.glob("*.csv")}
     assert len(digests) == 5
     assert digests == {name: golden["csv"][name] for name in digests}
 
