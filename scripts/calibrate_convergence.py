@@ -11,8 +11,8 @@ One pass checks two references:
   result by the CLI's own writer, as ``run_experiment`` writes it.
   ``RUNS`` covers all four functions at d=2 (both strategies at the
   acceptance criterion 7 budgets; 20 iterations at sigma0 = 1e-100 and
-  1e-160, whose certificate adds jitter), d=10, d=40 with popsize 15 < d,
-  and d=100 at sigma0 = 1 and 1e3.
+  1e-160, where the squares of the covariance in x underflow), d=10, d=40
+  with popsize 15 < d, and d=100 at sigma0 = 1 and 1e3.
 - ``docs/convergence/<scan>.json``, the records of one scan of ``SCANS``:
   every function of ``STUDY`` once per seed, from its default start with
   sigma0 = 1 and the default popsize. A record says how the run was made
@@ -22,8 +22,8 @@ One pass checks two references:
   dilated.
 
 Each distinct config (function, dim, resolved popsize, seed, max_iter,
-sigma0, strategy) runs once and feeds both references. A scan is checked against its
-reference under a fixed rule, per function:
+sigma0, strategy) runs once and feeds both references. A scan is checked
+against its reference under a fixed rule, per function:
 
 - at d=2, neither the median nor the q3 crossing iteration may get worse,
   a run that never crosses the threshold counting as +inf; nor may the

@@ -64,11 +64,8 @@ def summarize(
       positive-definite covariance the population was sampled from;
     - ``strategy`` is one of :data:`STRATEGIES`.
 
-    ``sigma_bar`` comes out positive definite. Only where the jitter base
-    underflows to 0 (a ``prior_cov`` diagonal below about 2.5e-314) can the
-    shift leave it merely positive semi-definite, which
-    :class:`SummaryStats` still admits. A scatter that overflows leaves the
-    estimate non-finite, which raises ``ValueError``.
+    ``sigma_bar`` comes out positive definite. A scatter that overflows
+    leaves the estimate non-finite, which raises ``ValueError``.
     """
     neg_w = -weights
     # fitness ascending, then weight descending, then index: lexsort is stable

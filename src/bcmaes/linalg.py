@@ -96,10 +96,9 @@ def scaled_jitter_eps(m: np.ndarray) -> float:
 
     A fixed absolute base is negligible for matrices whose entries are many
     orders of magnitude above 1, and swamps those far below 1, so the base
-    is the largest diagonal magnitude scaled. A run from ``s * x0`` with
-    sigma0 = s is then the run from ``x0`` times s. Below a largest diagonal
-    of about 2.5e-314 the base underflows to 0. ``m`` is a float64 square
-    matrix with at least one row.
+    is the largest diagonal magnitude scaled. It underflows to 0 below a
+    largest diagonal of about 2.5e-314, which the run loop's covariances, in
+    units of sigma0, never reach. ``m`` is a float64 square matrix.
     """
     return _JITTER_BASE * float(np.maximum.reduce(np.abs(m.diagonal())))
 

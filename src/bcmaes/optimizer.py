@@ -4,10 +4,12 @@ Each iteration samples a population from the belief's expected parameters,
 evaluates it, weights each point by its sampling density, condenses the
 population into summary statistics with :func:`~bcmaes.likelihood.summarize`,
 applies the exact conjugate update, and lets the restart controller
-dilate/contract/recenter the search covariance. The loop certifies what
+dilate/contract/recenter the search covariance. It runs in the start's own
+units: the belief, with prior N(0, I), is over ``y``, and only the objective
+and the records see ``x = x0 + sigma0 * y``. The loop certifies what
 ``summarize`` takes: NaN fitness is mapped to +inf, and the weights are the
 softmax of ``-|z|**2 / 2`` over the standard-normal variates ``z`` the points
-were drawn from (``x = mean + L z``), which are the normalized sampling
+were drawn from (``y = mean + L z``), which are the normalized sampling
 densities without evaluating one, so no density can underflow or overflow.
 The belief state is the single source of truth: controller interventions are
 mapped back onto the scale hyperparameter so the next iteration's sampling
@@ -25,7 +27,7 @@ import numpy as np
 from .errors import PriorDegeneracy
 from .likelihood import STRATEGIES, summarize
 from .linalg import _sample, frobenius_norm, spd_repair
-from .niw import NiwParams, _record, expected_covariance, expected_mean, posterior_update
+from .niw import NiwParams, _record, expected_covariance, posterior_update
 from .restart import TERMINATE, RestartDecision, init_restart, step_restart
 from .rng import RandomSource
 
@@ -36,7 +38,7 @@ STOP_CONTROLLER = "ControllerTerminate"
 STOP_MAX_ITER = "MaxIter"
 STOP_VAR_NORM = "VarNormSmall"
 
-# the run stops when the expected covariance's Frobenius norm falls below this times sigma0**2
+# the run stops when the expected covariance's Frobenius norm, in units of sigma0, falls below this
 _VAR_NORM_TOL = 1e-12
 
 
@@ -77,14 +79,10 @@ class OptimizerConfig:
         if not np.all(np.isfinite(x0)):
             raise ValueError("x0 entries must be finite")
         object.__setattr__(self, "x0", x0)
-        # written as not (x > 0) so that NaN fails too
-        if not (self.sigma0 > 0):
-            raise ValueError("sigma0 must be positive")
-        prior_scale = 2.0 * float(self.sigma0) * float(self.sigma0)
-        if not math.isfinite(prior_scale):
-            raise ValueError("sigma0 is too large: the prior scale 2 * sigma0**2 overflows")
-        if not (prior_scale > 0):
-            raise ValueError("sigma0 is too small: the prior scale 2 * sigma0**2 underflows to 0")
+        # written as not (...) so that NaN fails too
+        if not (0 < self.sigma0 < math.inf):
+            raise ValueError("sigma0 must be positive and finite")
+        object.__setattr__(self, "sigma0", float(self.sigma0))
         if self.k < 2:
             raise ValueError("popsize must be at least 2")
         if self.max_iter < 1:
@@ -99,7 +97,7 @@ class OptimizerConfig:
 
 @dataclass(frozen=True, eq=False)
 class IterationTrace:
-    """One row of the run record."""
+    """One row of the run record, in units of ``x``."""
 
     iter: int
     f_best_iter: float
@@ -125,10 +123,10 @@ class RunResult:
 class IterationObservation:
     """Per-iteration record passed to an optional run callback.
 
-    Its arrays are the loop's own, not copies: ``sampled_mean`` is
-    ``state_before.mu`` (at iteration 1 the config's ``x0``), and
-    ``state_after`` is the belief the next iteration samples from. The
-    callback must not write them.
+    Its arrays are the loop's own, not copies, in units of ``y`` (the
+    objective saw ``x0 + sigma0 * y``): ``sampled_mean`` is ``state_before.mu``
+    (0 at iteration 1), and ``state_after`` is the belief the next iteration
+    samples from. The callback must not write them.
     """
 
     iter: int
@@ -141,18 +139,17 @@ class IterationObservation:
     decision: RestartDecision
 
 
-def init_prior(x0: np.ndarray, sigma0: float, dim: int) -> NiwParams:
-    """Belief prior centered at ``x0`` with expected covariance ``sigma0**2 * I``.
+def init_prior(dim: int) -> NiwParams:
+    """Belief prior over ``y``: mean 0 and expected covariance exactly ``I``.
 
-    Uses kappa = 1 (so the first mean update moves almost all the way to the
-    likelihood estimate) and nu = dim + 3, the smallest integer-offset choice
-    for which the expected covariance exists with margin; psi is scaled so
-    that the expectation comes out at exactly ``sigma0**2 * I``. ``x0`` and
-    ``sigma0`` are those of a checked :class:`OptimizerConfig`.
+    That is mean ``x0`` and expected covariance ``sigma0**2 * I`` in
+    ``x = x0 + sigma0 * y``. Uses kappa = 1 (so the first mean update moves
+    almost all the way to the likelihood estimate) and nu = dim + 3, the
+    smallest integer-offset choice for which the expected covariance exists
+    with margin, and psi = ``(nu - dim - 1) * I``.
     """
     nu = float(dim + 3)
-    psi = sigma0**2 * (nu - dim - 1) * np.eye(dim)
-    return NiwParams(mu=x0, kappa=1.0, nu=nu, psi=psi)
+    return NiwParams(mu=np.zeros(dim), kappa=1.0, nu=nu, psi=(nu - dim - 1) * np.eye(dim))
 
 
 def _evaluate(points: np.ndarray, objective, pool: Optional[Executor]) -> tuple[np.ndarray, int]:
@@ -191,11 +188,12 @@ def run(
 ) -> RunResult:
     """Minimize ``objective`` under the given configuration.
 
+    The objective sees ``x = y * sigma0 + x0`` for the loop's points ``y``,
+    as ``x_best`` is made, so ``objective(x_best)`` is ``f_best`` bit for bit.
     Stops on the first of: controller termination (50 consecutive
     non-improving iterations end its ladder), the iteration cap, or the
-    expected covariance's Frobenius norm falling below ``1e-12 * sigma0**2``,
-    a tolerance relative to the start scale. The objective is called exactly
-    ``popsize`` times per iteration.
+    Frobenius norm of the expected covariance of ``y`` falling below 1e-12.
+    The objective is called exactly ``popsize`` times per iteration.
 
     Errors: an invalid configuration raises ``ValueError`` when the
     :class:`OptimizerConfig` is constructed; past that, the loop trusts the
@@ -230,14 +228,14 @@ def _run(
 ) -> RunResult:
     k = config.k
     d = config.dim
-    state = init_prior(config.x0, config.sigma0, d)
+    x0, sigma0 = config.x0, config.sigma0
+    state = init_prior(d)
     controller = init_restart()
     rng = RandomSource(config.seed)
     trace: list[IterationTrace] = []
     stop_reason: Optional[str] = None
     nan_evals = 0
     belief_cov = expected_covariance(state)
-    var_norm_tol = _VAR_NORM_TOL * config.sigma0**2
 
     for t in range(1, config.max_iter + 1):
         # the expected mean, not copied: nothing below writes to it
@@ -250,13 +248,15 @@ def _run(
             # the mean update's kappa * mu + n * mu_bar overflows for |mu| near the float range
             raise PriorDegeneracy(f"belief mean not finite at iteration {t}")
         points, z = _sample(mean, chol, k, rng)
-        fitness, n_nan = _evaluate(points, objective, pool)
-        nan_evals += n_nan
-        # an overflow below reaches PriorDegeneracy, here or at the next iteration's
-        # certificate, so numpy's warnings would only announce that error early;
-        # the objective above and the callback below keep their own warnings
+        # x overflows to inf near the float range's end; the objective keeps its own warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            # x = mean + chol @ z has density exp(-|z|**2 / 2) / ((2 pi)**(d/2) det chol);
+            x = points * sigma0 + x0
+        fitness, n_nan = _evaluate(x, objective, pool)
+        nan_evals += n_nan
+        # an overflow below ends in PriorDegeneracy or in an inf record of x, so numpy's
+        # warnings would only announce it early
+        with np.errstate(over="ignore", invalid="ignore"):
+            # y = mean + chol @ z has density exp(-|z|**2 / 2) / ((2 pi)**(d/2) det chol);
             # the constant is common to the population and cancels in the weights
             q = np.add.reduce(z * z, axis=1)
             q *= -0.5
@@ -290,6 +290,7 @@ def _run(
             # the next iteration samples from this same expected covariance
             belief_cov = expected_covariance(state)
             cov_norm = frobenius_norm(belief_cov)
+            mean_x = state.mu * sigma0 + x0
         # the records are frozen, but built without the dataclass __init__
         trace.append(
             _record(
@@ -297,8 +298,9 @@ def _run(
                 iter=t,
                 f_best_iter=f_best_iter,
                 f_min_so_far=controller.f_min,
-                expected_mean=expected_mean(state),
-                cov_frobenius_norm=cov_norm,
+                expected_mean=mean_x,
+                # sigma0 * sigma0 first would overflow or underflow where the product does not
+                cov_frobenius_norm=sigma0 * cov_norm * sigma0,
                 retrial=controller.retrial,
                 event=event,
             )
@@ -319,14 +321,16 @@ def _run(
             )
         if stop_reason is not None:
             break
-        if cov_norm < var_norm_tol:
+        if cov_norm < _VAR_NORM_TOL:
             stop_reason = STOP_VAR_NORM
             break
     if stop_reason is None:
         stop_reason = STOP_MAX_ITER
 
-    # x_min stays unset only if every single evaluation came back +inf
-    x_best = controller.x_min.copy() if controller.x_min is not None else config.x0.copy()
+    # x_min is unset only if every evaluation came back +inf; x_best is made as x was
+    y_best = controller.x_min if controller.x_min is not None else np.zeros(d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_best = y_best * sigma0 + x0
     return RunResult(
         x_best=x_best,
         f_best=controller.f_min,

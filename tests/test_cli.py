@@ -60,21 +60,28 @@ class TestParseArgs:
     @pytest.mark.parametrize("flags", [
         ("--sigma0", "-1"),
         ("--sigma0", "nan"),
-        ("--sigma0", "1e200"),
-        ("--sigma0", "1e-170"),
+        ("--sigma0", "inf"),
         ("--x0", "nan,1"),
         ("--popsize", "1"),
         ("--seed", "-1"),
         ("--seed", "18446744073709551616"),
         ("--dim", "0"),
-    ], ids=["sigma0-negative", "sigma0-nan", "sigma0-overflow", "sigma0-underflow", "x0-nan",
-            "popsize-1", "seed-negative", "seed-too-large", "dim-zero"])
+    ], ids=["sigma0-negative", "sigma0-nan", "sigma0-inf", "x0-nan", "popsize-1",
+            "seed-negative", "seed-too-large", "dim-zero"])
     def test_invalid_run_config_is_a_usage_error(self, flags, capsys):
         # the config's own checks, reported as a usage error, not a traceback
         with pytest.raises(SystemExit) as exc:
             main(["--function", "cone", *flags])
         assert exc.value.code == 2
         assert "usage: bcmaes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sigma0", ["1e-320", "1e-170", "1e200", "1e308"])
+    def test_any_positive_finite_sigma0_runs(self, sigma0, tmp_path):
+        # the run is in units of sigma0; 1e-170 and 1e200 were once refused,
+        # because 2 * sigma0**2 left the float range
+        assert main(["--function", "cone", "--sigma0", sigma0, "--seed", "1", "--max-iter", "5",
+                     "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "summary.json").read_text())[0]["iterations"] == 5
 
     def test_schwefel1_uses_registry_default_x0(self, tmp_path):
         spec = parse_args(["--function", "schwefel1", "--seed", "1"])
@@ -153,10 +160,13 @@ class TestRunExperiment:
         code = main(_run_spec_args(blocker / "sub"))
         assert code == 1
 
-    def test_package_error_exits_3_without_a_traceback(self, tmp_path, capsys):
-        # the population's scatter overflows at the first iteration
-        code = main(["--function", "schwefel2", "--x0", "1e300,1e300", "--seed", "1",
-                     "--max-iter", "5", "--out", str(tmp_path)])
+    def test_package_error_exits_3_without_a_traceback(self, tmp_path, capsys, monkeypatch):
+        def run_failing(config, objective):
+            raise PriorDegeneracy("population scatter not finite at iteration 1")
+
+        monkeypatch.setattr(cli, "run", run_failing)
+        code = main(["--function", "schwefel2", "--seed", "1", "--max-iter", "5",
+                     "--out", str(tmp_path)])
         assert code == 3
         err = capsys.readouterr().err
         assert err == "error: seed 1: population scatter not finite at iteration 1\n"

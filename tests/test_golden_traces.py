@@ -19,9 +19,7 @@ regenerates the file and the scans' references in one step::
     PYTHONPATH=src python scripts/calibrate_convergence.py --write
 """
 
-import contextlib
 import hashlib
-import io
 import json
 
 import pytest
@@ -49,8 +47,7 @@ def test_trace_csv_matches_pinned_digest(function, strategy, tmp_path, golden):
     spec = RunSpec(function=function, dim=2, strategy=strategy,
                    seeds=tuple(r.seed for r in runs), popsize=None, max_iter=runs[0].max_iter,
                    sigma0=1.0, x0=None, out_dir=str(tmp_path))
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert run_experiment(spec) == 0
+    assert run_experiment(spec) == 0
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in tmp_path.glob("*.csv")}
     assert len(digests) == 5

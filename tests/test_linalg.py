@@ -163,7 +163,8 @@ class TestSpdRepair:
 
     def test_jitter_base_underflows_below_the_subnormals(self):
         # 1e-10 times the largest diagonal entry reaches 0 once that entry is
-        # below about 2.5e-314, the square of a sigma0 of about 1.6e-157
+        # below about 2.5e-314; the run loop's covariances, in units of sigma0,
+        # stay far above that
         assert scaled_jitter_eps(np.diag([3e-314, 0.0])) > 0.0
         assert scaled_jitter_eps(np.diag([2e-314, 0.0])) == 0.0
 

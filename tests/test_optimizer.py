@@ -50,15 +50,16 @@ class _RisingObjective:
 
 class TestInitPrior:
     def test_expected_parameters_match_construction(self):
-        p = init_prior(np.array([10.0, 10.0]), 1.0, 2)
-        assert np.array_equal(expected_mean(p), [10.0, 10.0])
-        assert np.allclose(expected_covariance(p), np.eye(2), rtol=0, atol=0)
+        # N(0, I) in the loop's units: N(x0, sigma0**2 I) in x = x0 + sigma0 * y
+        p = init_prior(2)
+        assert np.array_equal(expected_mean(p), [0.0, 0.0])
+        assert np.array_equal(expected_covariance(p), np.eye(2))
 
     def test_dim2_hyperparameters(self):
-        p = init_prior(np.zeros(2), 2.0, 2)
+        p = init_prior(2)
         assert p.nu == 5.0
         assert p.kappa == 1.0
-        assert np.array_equal(p.psi, 2 * 2.0**2 * np.eye(2))
+        assert np.array_equal(p.psi, 2 * np.eye(2))
 
 
 class TestConfig:
@@ -79,13 +80,10 @@ class TestConfig:
             OptimizerConfig(dim=2, x0=np.zeros(3))
 
     @pytest.mark.parametrize("field,value,message", [
-        ("sigma0", np.nan, "positive"),
-        ("sigma0", np.inf, "too large"),
-        ("sigma0", 0.0, "positive"),
-        ("sigma0", -1.0, "positive"),
-        ("sigma0", 1.3e154, "too large"),  # 2 * sigma0**2, the prior scale, overflows
-        ("sigma0", 1e155, "too large"),  # sigma0**2 itself overflows a Python float
-        ("sigma0", 1e-170, "too small"),  # 2 * sigma0**2 underflows to 0
+        ("sigma0", np.nan, "positive and finite"),
+        ("sigma0", np.inf, "positive and finite"),
+        ("sigma0", 0.0, "positive and finite"),
+        ("sigma0", -1.0, "positive and finite"),
         ("x0", np.array([np.nan, 10.0]), "finite"),
         ("x0", np.array([10.0, np.inf]), "finite"),
         ("dim", 2.0, "dim must be an integer"),
@@ -98,8 +96,7 @@ class TestConfig:
         ("seed", True, "seed must be an integer"),
         ("seed", -1, "unsigned 64-bit"),
         ("seed", 2**64, "unsigned 64-bit"),
-    ], ids=["sigma0-nan", "sigma0-inf", "sigma0-zero", "sigma0-negative", "sigma0-scale-overflow",
-            "sigma0-square-overflow", "sigma0-scale-underflow", "x0-nan", "x0-inf",
+    ], ids=["sigma0-nan", "sigma0-inf", "sigma0-zero", "sigma0-negative", "x0-nan", "x0-inf",
             "dim-float", "dim-negative", "popsize-fraction", "popsize-float", "max_iter-fraction",
             "seed-fraction", "seed-str", "seed-bool", "seed-negative", "seed-too-large"])
     def test_rejected_at_construction(self, field, value, message):
@@ -123,11 +120,27 @@ class TestConfig:
     def test_largest_finite_prior_scale_accepted(self):
         assert _cone_config(sigma0=9e153).sigma0 == 9e153
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("sigma0", [5e-324, 1e-320, 1e-170, 1.3e154, 1e155, 1e308,
+                                        np.finfo(float).max],
+                             ids=lambda v: f"sigma0-{v:.2g}")
+    def test_any_positive_finite_sigma0_accepted_and_run(self, sigma0):
+        # the loop runs in units of sigma0, so no scale of it leaves the float
+        # range inside the loop; 2 * sigma0**2 once overflowed at 1.3e154 and
+        # 1e155 and underflowed at 1e-170, and those configs were refused
+        cfg = _cone_config(x0=np.zeros(2), sigma0=sigma0, max_iter=20)
+        assert cfg.sigma0 == sigma0
+        result = run(cfg, cone)
+        assert result.stop_reason == STOP_MAX_ITER
+        assert result.iterations == 20
+
     def test_small_prior_scale_accepted_and_sampled(self):
-        # the first sampled covariance is the requested sigma0**2 * I, not jitter
+        # the first sampled covariance is the requested sigma0**2 * I in x, not
+        # jitter: I in the loop's units
         seen = []
         run(_cone_config(sigma0=1e-150, max_iter=1), cone, callback=seen.append)
-        assert np.array_equal(seen[0].sampled_cov, 1e-300 * np.eye(2))
+        assert np.array_equal(seen[0].sampled_cov, np.eye(2))
+        assert np.array_equal(1e-150**2 * seen[0].sampled_cov, 1e-300 * np.eye(2))
 
 
 class TestEvaluatePopulation:
@@ -219,9 +232,10 @@ class TestWeights:
     @pytest.mark.parametrize("dim,sigma0", [(2, 1.0), (100, 1e3), (100, 1e-4)])
     def test_weights_are_normalized_densities(self, monkeypatch, dim, sigma0):
         # summarize gets softmax(-|z|**2 / 2) over the variates behind the
-        # points, exactly; that is the densities over their sum to rounding,
-        # also where the densities themselves underflow (sigma0 = 1e3) or
-        # overflow (sigma0 = 1e-4)
+        # points, exactly; that is the densities over their sum to rounding.
+        # Those of x are the same: x = x0 + sigma0 * y scales every density by
+        # sigma0**-d, which cancels, also where the densities in x themselves
+        # underflow (sigma0 = 1e3) or overflow (sigma0 = 1e-4)
         seen = []
         real = optimizer.summarize
 
@@ -333,12 +347,23 @@ class TestStateConsistency:
 
 
 @functools.cache
-def _unit_cone_run(dim, popsize, seed):
-    """(f_best, iterations, stop reason) of cone from its default start with sigma0 = 1."""
+def _unit_cone_run(dim, popsize, seed, max_iter=300):
+    """The run of cone from its default start with sigma0 = 1."""
     spec = registry_lookup("cone", dim)
-    result = run(OptimizerConfig(dim=dim, x0=spec.default_x0, popsize=popsize, max_iter=300,
-                                 seed=seed), spec.fn)
-    return result.f_best, result.iterations, result.stop_reason
+    return run(OptimizerConfig(dim=dim, x0=spec.default_x0, popsize=popsize, max_iter=max_iter,
+                               seed=seed), spec.fn)
+
+
+def _assert_the_unit_run_scaled(result, unit, scale):
+    """``result`` is ``unit`` run from ``scale`` times its start with sigma0 = ``scale``.
+
+    Below a scale of about 2**-480 the best cone values take the scaled path
+    of its norm, which rounds otherwise than the unit run's, so ``f_best`` is
+    checked as cone at the scaled point, not as ``scale * unit.f_best``.
+    """
+    assert np.array_equal(result.x_best / scale, unit.x_best)
+    assert (result.iterations, result.stop_reason) == (unit.iterations, unit.stop_reason)
+    assert result.f_best == cone(scale * unit.x_best)
 
 
 class TestStops:
@@ -348,41 +373,41 @@ class TestStops:
         assert result.iterations == 51  # one improving iteration + L5 misses
         assert result.trace[-1].event == "terminate-signal"
 
-    @pytest.mark.parametrize("scale", [1.0, 2.0**-40, 2.0**20, 2.0**-300, 2.0**-460, 2.0**-490],
-                             ids=["1", "2^-40", "2^20", "2^-300", "2^-460", "2^-490"])
+    @pytest.mark.parametrize("scale", [1.0, 2.0**-40, 2.0**20, 2.0**-300, 2.0**-460, 2.0**-490,
+                                       2.0**-515, 2.0**-1000],
+                             ids=["1", "2^-40", "2^20", "2^-300", "2^-460", "2^-490", "2^-515",
+                                  "2^-1000"])
     def test_var_norm_stop(self, scale):
         # cone is homogeneous and a power of two scales every step exactly, so
-        # the run started at scale * [10, 10] with sigma0 = scale is the scale-1
-        # run times scale, and the stop relative to sigma0**2 comes at the same
-        # iteration; an absolute 1e-12 stopped the 2^-40 run at iteration 1. At
-        # 2^-300 and 2^-460 the covariance's squares underflow, so the norm must
-        # scale its entries not to read 0; at 2^-490 the points' squares do, so
-        # cone must too
-        cfg = _cone_config(x0=scale * np.array([10.0, 10.0]), sigma0=scale, seed=2, max_iter=1500)
-        result = run(cfg, cone)
+        # the run started at scale * [10, 10] with sigma0 = scale sees the
+        # points of the scale-1 run times scale, takes the same steps in the
+        # loop's units, and stops at the same iteration; an absolute 1e-12 on
+        # the covariance in x stopped the 2^-40 run at iteration 1. From 2^-490
+        # the points' squares underflow, so cone scales its entries; at 2^-515
+        # a belief in x units fell into the subnormals and stopped at 905
+        result = run(_cone_config(x0=scale * np.array([10.0, 10.0]), sigma0=scale, seed=2,
+                                  max_iter=1500), cone)
         assert result.stop_reason == STOP_VAR_NORM
         assert result.iterations == 608
-        assert result.f_best / scale == run(replace(cfg, x0=np.array([10.0, 10.0]), sigma0=1.0),
-                                            cone).f_best
+        _assert_the_unit_run_scaled(result, _unit_cone_run(2, None, 2, 1500), scale)
 
-    @pytest.mark.parametrize("scale", [2.0**-40, 2.0**-200, 2.0**20], ids=["2^-40", "2^-200", "2^20"])
+    @pytest.mark.parametrize("scale", [2.0**-40, 2.0**-200, 2.0**20, 2.0**-515, 2.0**-1000],
+                             ids=["2^-40", "2^-200", "2^20", "2^-515", "2^-1000"])
     @pytest.mark.parametrize("dim,popsize", [(10, None), (40, 15)])
     def test_scaled_run_is_the_unit_run_scaled(self, dim, popsize, scale):
         # as test_var_norm_stop, at dimensions where the covariance estimate
-        # is indefinite in most iterations: its repair and the belief's
-        # jitter base are relative to the matrices, not to an absolute 1
+        # is indefinite in most iterations and takes its closed-form shift
         for seed in (1, 2, 3):
-            unit = _unit_cone_run(dim, popsize, seed)
             spec = registry_lookup("cone", dim)
             cfg = OptimizerConfig(dim=dim, x0=scale * spec.default_x0, sigma0=scale,
                                   popsize=popsize, max_iter=300, seed=seed)
-            result = run(cfg, spec.fn)
-            assert (result.f_best / scale, result.iterations, result.stop_reason) == unit, seed
+            _assert_the_unit_run_scaled(run(cfg, spec.fn), _unit_cone_run(dim, popsize, seed),
+                                        scale)
 
     @pytest.mark.parametrize("sigma0", [1e-9, 1e-7, 1e-6])
     def test_var_norm_tol_is_relative_to_sigma0(self, sigma0):
-        # an absolute 1e-12 stopped these runs after iteration 1: their first
-        # expected covariance already had a norm of about sigma0**2
+        # their first expected covariance in x has a norm of about sigma0**2, so
+        # a tolerance of 1e-12 in x, not in units of sigma0, stops them at once
         cfg = _cone_config(x0=np.array([1e-8, 1e-8]), sigma0=sigma0)
         result = run(cfg, cone)
         assert result.stop_reason == STOP_MAX_ITER
@@ -400,8 +425,13 @@ class TestStops:
         assert result.iterations == 20
 
     def test_certificate_jitters_at_most_once(self, monkeypatch):
-        # the tiny-sigma0 runs above: their belief is at times exactly singular,
-        # and each certificate then factors it once more, with one jitter
+        # an update whose expected covariance is exactly singular, [[1, 1], [1, 1]]:
+        # each certificate after the prior's factors it once more, with one jitter
+        def singular_update(p, s):
+            q = posterior_update(p, s)
+            return replace(q, psi=(q.nu - 3) * np.ones((2, 2)))
+
+        monkeypatch.setattr(optimizer, "posterior_update", singular_update)
         certificates = []
         with spy_factorizations() as spy:
             real = optimizer.spd_repair
@@ -414,11 +444,9 @@ class TestStops:
 
             monkeypatch.setattr(optimizer, "spd_repair", recording)
             for function in FUNCTION_NAMES:
-                for sigma0 in (1e-100, 1e-160):
-                    bench = registry_lookup(function, 2)
-                    run(OptimizerConfig(dim=2, x0=bench.default_x0, sigma0=sigma0, seed=1,
-                                        max_iter=20), bench.fn)
-        assert len(certificates) == 4 * 2 * 20
+                bench = registry_lookup(function, 2)
+                run(OptimizerConfig(dim=2, x0=bench.default_x0, seed=1, max_iter=20), bench.fn)
+        assert len(certificates) == 4 * 20
         jittered = 0
         for m, (out, chol), calls in certificates:
             assert calls[0][0] is m
@@ -430,7 +458,7 @@ class TestStops:
             want = m + scaled_jitter_eps(m) * np.eye(2)
             assert np.array_equal(calls[1][1], want) and calls[1][2] is not None
             assert np.array_equal(out, want) and chol is calls[1][2]
-        assert jittered > 0
+        assert jittered == 4 * 19
 
     def test_max_iter_stop(self):
         result = run(_cone_config(max_iter=5), cone)
@@ -465,20 +493,31 @@ class TestStops:
         assert isinstance(info.value.__cause__, ValueError)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_overflowing_scale_raises_prior_degeneracy(self):
-        # psi' overflows in the conjugate update of iteration 15, which builds it
-        # unchecked; the belief repair of iteration 16 rejects it. The cone
-        # itself does not overflow here, and the loop warns of nothing before
-        # the error.
-        with pytest.raises(PriorDegeneracy, match="iteration 16") as info:
-            run(_cone_config(sigma0=1e153, max_iter=60), cone)
-        assert isinstance(info.value.__cause__, ValueError)
+    def test_overflowing_scale_raises_prior_degeneracy(self, monkeypatch):
+        # the certificate's guard, with an injected fault: psi' overflows in the
+        # conjugate update of iteration 3, which builds it unchecked; the belief
+        # repair of iteration 4 rejects it, and the loop warns of nothing first
+        def overflowing_update(p, s):
+            q = posterior_update(p, s)
+            if q.nu > p.dim + 3 + 2 * s.n_obs:
+                np.multiply(q.psi, 1e308, out=q.psi)
+            return q
+
+        monkeypatch.setattr(optimizer, "posterior_update", overflowing_update)
+        with pytest.raises(PriorDegeneracy, match="belief covariance degenerate at iteration 4") \
+                as info:
+            run(_cone_config(max_iter=60), cone)
+        assert str(info.value.__cause__) == "matrix entries must be finite"
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_overflowing_scatter_of_a_quiet_objective_raises_without_warning(self):
-        # |x_1| does not overflow; the population scatter about its weighted mean does
+    def test_overflowing_scatter_of_a_quiet_objective_raises_without_warning(self, monkeypatch):
+        # |x_1| does not overflow; the population scatter about its weighted
+        # mean does, with the variates behind the first population scaled to 1e300
+        real = optimizer._sample
+        monkeypatch.setattr(optimizer, "_sample",
+                            lambda mean, chol, k, rng: real(mean, 1e300 * chol, k, rng))
         with pytest.raises(PriorDegeneracy, match="scatter not finite at iteration 1"):
-            run(_cone_config(x0=np.array([1e307, -1e307])), lambda x: abs(float(x[0])))
+            run(_cone_config(), lambda x: abs(float(x[0])))
 
     def test_objective_warnings_still_surface(self):
         def loud(x):
@@ -490,30 +529,67 @@ class TestStops:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_huge_finite_covariance_has_finite_norm(self):
-        # entries near 1e300: the sum of squares overflows, the norm does not
+        # the covariance in x, sigma0**2 times the loop's, has entries near 1e300:
+        # its sum of squares overflows, the reported norm does not
         seen = []
         result = run(_cone_config(sigma0=1e150, max_iter=200),
                      cone, callback=lambda obs: seen.append(expected_covariance(obs.state_after)))
         assert result.stop_reason == STOP_MAX_ITER
         for row, cov in zip(result.trace, seen, strict=True):
             assert math.isfinite(row.cov_frobenius_norm)
-            assert row.cov_frobenius_norm == pytest.approx(math.hypot(*cov.ravel().tolist()),
-                                                           rel=1e-15)
+            assert row.cov_frobenius_norm == pytest.approx(
+                1e300 * math.hypot(*cov.ravel().tolist()), rel=1e-15)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_overflowing_mean_raises_prior_degeneracy(self):
-        # kappa * mu + n * mu_bar overflows for a start this close to the float range
-        with pytest.raises(PriorDegeneracy):
-            run(_cone_config(x0=np.array([1e307, 1e307]), max_iter=10), cone)
+    def test_overflowing_mean_raises_prior_degeneracy(self, monkeypatch):
+        # the mean's guard, with an injected fault: kappa * mu + n * mu_bar
+        # overflows in the conjugate update of iteration 2
+        def overflowing_update(p, s):
+            q = posterior_update(p, s)
+            if q.nu > p.dim + 3 + s.n_obs:
+                q.mu[0] = np.inf
+            return q
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf - inf
-    def test_overflowing_scatter_raises_prior_degeneracy(self):
-        # the first population's scatter about its weighted mean overflows,
-        # so the covariance estimate of summarize is not finite
-        with pytest.raises(PriorDegeneracy, match="scatter not finite at iteration 1") as info:
-            run(_cone_config(x0=np.array([1.79e308, 1.79e308])), schwefel2)
-        assert isinstance(info.value.__cause__, ValueError)
+        monkeypatch.setattr(optimizer, "posterior_update", overflowing_update)
+        with pytest.raises(PriorDegeneracy, match="belief mean not finite at iteration 3"):
+            run(_cone_config(max_iter=10), cone)
+
+    def test_overflowing_scatter_raises_prior_degeneracy(self, monkeypatch):
+        # the scatter's guard, with an injected fault: summarize's covariance
+        # estimate is not finite at iteration 2, and its ValueError is the cause
+        real = optimizer.summarize
+
+        def overflowing_summarize(points, fitness, weights, mean, cov, strategy):
+            if np.any(mean):  # the prior mean is 0, so iteration 2 on
+                points = points * 1e300
+            return real(points, fitness, weights, mean, cov, strategy)
+
+        monkeypatch.setattr(optimizer, "summarize", overflowing_summarize)
+        with pytest.raises(PriorDegeneracy, match="scatter not finite at iteration 2") as info:
+            run(_cone_config(), schwefel2)
+        assert str(info.value.__cause__) == "covariance estimate entries must be finite"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("sigma0,x0,function", [
+        (1e153, [10.0, 10.0], "cone"),
+        (1.0, [1e307, 1e307], "cone"),
+        (1.0, [1e307, -1e307], "first-coordinate"),
+        (1.0, [1.79e308, 1.79e308], "schwefel2"),
+    ], ids=["sigma0-1e153", "start-1e307", "start-1e307-mixed", "start-1.79e308"])
+    def test_former_overflows_finish(self, sigma0, x0, function):
+        # a belief in x units overflowed on each of these: its scale at sigma0 =
+        # 1e153, its mean near 1e307, its scatter at 1.79e308. In the loop's
+        # units they run; what reaches the float range is x, which the
+        # objective sees, here under its own errstate
+        fn = (lambda x: abs(float(x[0]))) if function == "first-coordinate" else \
+            registry_lookup(function, 2).fn
+
+        def quiet(x):
+            with np.errstate(all="ignore"):
+                return fn(x)
+
+        result = run(_cone_config(x0=np.array(x0), sigma0=sigma0, max_iter=60), quiet)
+        assert result.stop_reason in (STOP_CONTROLLER, STOP_MAX_ITER, STOP_VAR_NORM)
+        assert result.iterations == len(result.trace) <= 60
 
     def test_unrepairable_updated_scale_raises_prior_degeneracy(self, monkeypatch):
         # posterior_update does not factor psi'; the next iteration's repair of
@@ -527,6 +603,17 @@ class TestStops:
             run(_cone_config(max_iter=5), cone)
         assert isinstance(info.value.__cause__, ValueError)
         assert str(info.value.__cause__).startswith("matrix not positive definite")
+
+
+def _x_log_densities(obs, sigma0):
+    """Log-densities of the observed points in x, under N(x0 + sigma0 * mean, sigma0**2 * cov).
+
+    ``x = x0 + sigma0 * y`` scales the density of ``y`` by ``sigma0**-d``,
+    which is the log-determinant of ``sigma0**2 * cov`` less that of ``cov``.
+    """
+    factor = np.linalg.cholesky(obs.sampled_cov)
+    logp = oracles.mvn_logpdf_batch(obs.sampled_mean, factor, obs.points)
+    return logp - obs.points.shape[1] * math.log(sigma0)
 
 
 class TestOtherDimensions:
@@ -548,16 +635,13 @@ class TestOtherDimensions:
         assert result.f_best < spec.fn(spec.default_x0)
 
     def test_dim100_large_sigma0_finishes(self):
-        # at sigma0 = 1e3 every density of the first population underflows to
-        # zero; the weights come from the variates and do not
+        # at sigma0 = 1e3 every density in x of the first population underflows
+        # to zero; the weights come from the variates and do not
         spec = registry_lookup("cone", 100)
         cfg = OptimizerConfig(dim=100, x0=spec.default_x0, sigma0=1e3, max_iter=10, seed=1)
         seen = []
         result = run(cfg, spec.fn, callback=seen.append)
-        first = seen[0]
-        factor = np.linalg.cholesky(first.sampled_cov)
-        assert not np.any(np.exp(oracles.mvn_logpdf_batch(first.sampled_mean, factor,
-                                                          first.points)))
+        assert not np.any(np.exp(_x_log_densities(seen[0], 1e3)))
         assert result.stop_reason == STOP_MAX_ITER
         assert result.iterations == 10
         assert np.isfinite(result.f_best)
@@ -566,16 +650,15 @@ class TestOtherDimensions:
     @pytest.mark.parametrize("function", FUNCTION_NAMES)
     @pytest.mark.parametrize("dim,sigma0", [(100, 1e-4), (10, 1e-35), (3, 1e-150)])
     def test_overflowing_densities_finish(self, dim, sigma0, function):
-        # a small sigma0 makes the densities' normalizing constant exceed the
-        # float range, so some density of the first population overflows to inf;
-        # the weights come from the variates and do not, without a warning
+        # a small sigma0 makes the normalizing constant of the densities in x
+        # exceed the float range, so some density of the first population
+        # overflows to inf; the weights come from the variates and do not,
+        # without a warning
         spec = registry_lookup(function, dim)
         cfg = OptimizerConfig(dim=dim, x0=spec.default_x0, sigma0=sigma0, max_iter=5, seed=1)
         seen = []
         result = run(cfg, spec.fn, callback=seen.append)
-        first = seen[0]
-        factor = np.linalg.cholesky(first.sampled_cov)
-        assert oracles.mvn_logpdf_batch(first.sampled_mean, factor, first.points).max() > 710.0
+        assert _x_log_densities(seen[0], sigma0).max() > 710.0
         assert result.stop_reason in (STOP_CONTROLLER, STOP_MAX_ITER, STOP_VAR_NORM)
         assert result.iterations == len(result.trace) <= 5
 

@@ -24,9 +24,10 @@ from _util import load_script
 
 digest = load_script("calibrate_convergence").digest
 
-# binary exponents of sigma0, about 1e-161 to 1e154, and of the start's scale, up to about 1e300
-SIGMA0_EXPONENTS = (-535, 511)
-START_EXPONENTS = (-60, 993)
+# binary exponents of sigma0, over the whole positive finite range, and of the start's
+# scale, whose entries reach about 1e307
+SIGMA0_EXPONENTS = (-1074, 1023)
+START_EXPONENTS = (-60, 1016)
 
 
 def _objective(fn, nan_rate):
