@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -30,9 +30,6 @@ from .linalg import _sample, frobenius_norm, spd_repair
 from .niw import NiwParams, _record, expected_covariance, posterior_update
 from .restart import TERMINATE, RestartDecision, init_restart, step_restart
 from .rng import RandomSource
-
-if TYPE_CHECKING:
-    from concurrent.futures import Executor
 
 STOP_CONTROLLER = "ControllerTerminate"
 STOP_MAX_ITER = "MaxIter"
@@ -58,7 +55,6 @@ class OptimizerConfig:
     max_iter: int = 500
     strategy: str = "s2"
     seed: int = 0
-    parallel_eval: bool = False
 
     def __post_init__(self):
         # the run's one boundary check: the loop trusts every value derived from these
@@ -73,16 +69,23 @@ class OptimizerConfig:
             raise ValueError("dim must be at least 1")
         if not (0 <= self.seed < 2**64):
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
-        x0 = np.asarray(self.x0, dtype=float)
+        try:
+            x0 = np.asarray(self.x0, dtype=float)
+        except OverflowError as exc:  # an int beyond the float range
+            raise ValueError("x0 entries must be finite") from exc
         if x0.shape != (self.dim,):
             raise ValueError(f"x0 must have shape ({self.dim},), got {x0.shape}")
         if not np.all(np.isfinite(x0)):
             raise ValueError("x0 entries must be finite")
         object.__setattr__(self, "x0", x0)
+        try:
+            sigma0 = float(self.sigma0)
+        except OverflowError:  # an int beyond the float range, refused below as inf
+            sigma0 = math.inf
         # written as not (...) so that NaN fails too
-        if not (0 < self.sigma0 < math.inf):
+        if not (0 < sigma0 < math.inf):
             raise ValueError("sigma0 must be positive and finite")
-        object.__setattr__(self, "sigma0", float(self.sigma0))
+        object.__setattr__(self, "sigma0", sigma0)
         if self.k < 2:
             raise ValueError("popsize must be at least 2")
         if self.max_iter < 1:
@@ -152,15 +155,13 @@ def init_prior(dim: int) -> NiwParams:
     return NiwParams(mu=np.zeros(dim), kappa=1.0, nu=nu, psi=(nu - dim - 1) * np.eye(dim))
 
 
-def _evaluate(points: np.ndarray, objective, pool: Optional[Executor]) -> tuple[np.ndarray, int]:
-    """Evaluate the population in order, on ``pool`` if given; NaN results map to +inf.
+def _evaluate(points: np.ndarray, objective) -> tuple[np.ndarray, int]:
+    """Evaluate the population in order, one call per point; NaN results map to +inf.
 
-    The objective must be pure, so the fitness is the same with and without
-    a pool. NaN results lose every comparison instead of aborting the run.
+    NaN results lose every comparison instead of aborting the run.
     Returns (fitness, nan count).
     """
-    evaluations = map(objective, points) if pool is None else pool.map(objective, points)
-    raw = np.fromiter(evaluations, dtype=float, count=len(points))
+    raw = np.fromiter(map(objective, points), dtype=float, count=len(points))
     # isnan, not a NaN sum: a sum of large finite fitness overflows and warns
     nan_mask = np.isnan(raw)
     if not np.logical_or.reduce(nan_mask):
@@ -193,7 +194,9 @@ def run(
     Stops on the first of: controller termination (50 consecutive
     non-improving iterations end its ladder), the iteration cap, or the
     Frobenius norm of the expected covariance of ``y`` falling below 1e-12.
-    The objective is called exactly ``popsize`` times per iteration.
+    The objective is called exactly ``popsize`` times per iteration, once
+    per point, in order, in the calling thread; an exception the objective
+    or the callback raises propagates unchanged.
 
     Errors: an invalid configuration raises ``ValueError`` when the
     :class:`OptimizerConfig` is constructed; past that, the loop trusts the
@@ -210,22 +213,6 @@ def run(
         Also raised when a population's scatter overflows, so that its
         covariance estimate is not finite.
     """
-    if not config.parallel_eval:
-        return _run(config, objective, callback, None)
-    # imported here, so that importing the package does not load concurrent.futures
-    from concurrent.futures import ThreadPoolExecutor
-
-    # one pool per run: building one per iteration cost more than the evaluations
-    with ThreadPoolExecutor() as pool:
-        return _run(config, objective, callback, pool)
-
-
-def _run(
-    config: OptimizerConfig,
-    objective: Callable[[np.ndarray], float],
-    callback: Optional[Callable[[IterationObservation], None]],
-    pool: Optional[Executor],
-) -> RunResult:
     k = config.k
     d = config.dim
     x0, sigma0 = config.x0, config.sigma0
@@ -251,7 +238,7 @@ def _run(
         # x overflows to inf near the float range's end; the objective keeps its own warnings
         with np.errstate(over="ignore", invalid="ignore"):
             x = points * sigma0 + x0
-        fitness, n_nan = _evaluate(x, objective, pool)
+        fitness, n_nan = _evaluate(x, objective)
         nan_evals += n_nan
         # an overflow below ends in PriorDegeneracy or in an inf record of x, so numpy's
         # warnings would only announce it early

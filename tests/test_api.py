@@ -38,7 +38,7 @@ def test_all_is_pinned():
 def test_config_fields_are_pinned():
     # a new run knob is an API change: it must show up here
     assert [f.name for f in dataclasses.fields(bcmaes.OptimizerConfig)] == [
-        "dim", "x0", "sigma0", "popsize", "max_iter", "strategy", "seed", "parallel_eval"]
+        "dim", "x0", "sigma0", "popsize", "max_iter", "strategy", "seed"]
 
 
 def test_error_surface_is_pinned():
@@ -72,9 +72,8 @@ def test_names_the_benchmark_harness_calls():
 
 def test_runtime_imports_no_scipy():
     # scipy is a test dependency only: the package, its CLI and its plotting run
-    # on numpy. The thread pool of parallel_eval is imported by the run that
-    # asks for it, so the package alone loads neither concurrent.futures nor
-    # the logging it pulls in.
+    # on numpy. The run evaluates in the calling thread, so the package loads
+    # neither concurrent.futures nor the logging it would pull in.
     src = Path(__file__).resolve().parent.parent / "src"
     code = ("import sys, bcmaes; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'logging'))); "

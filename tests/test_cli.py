@@ -68,12 +68,13 @@ class TestParseArgs:
         ("--dim", "0"),
     ], ids=["sigma0-negative", "sigma0-nan", "sigma0-inf", "x0-nan", "popsize-1",
             "seed-negative", "seed-too-large", "dim-zero"])
-    def test_invalid_run_config_is_a_usage_error(self, flags, capsys):
+    def test_invalid_run_config_is_a_usage_error(self, flags, capsys, tmp_path):
         # the config's own checks, reported as a usage error, not a traceback
         with pytest.raises(SystemExit) as exc:
-            main(["--function", "cone", *flags])
+            main(["--function", "cone", *flags, "--out", str(tmp_path)])
         assert exc.value.code == 2
         assert "usage: bcmaes" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("sigma0", ["1e-320", "1e-170", "1e200", "1e308"])
     def test_any_positive_finite_sigma0_runs(self, sigma0, tmp_path):
@@ -117,19 +118,6 @@ class TestRunExperiment:
         assert main(_run_spec_args(out_b)) == 0
         assert (out_a / "cone_s2_42.csv").read_bytes() == (out_b / "cone_s2_42.csv").read_bytes()
         assert (out_a / "summary.json").read_bytes() == (out_b / "summary.json").read_bytes()
-
-    def test_parallel_eval_mode_same_bytes(self, tmp_path):
-        # the CSV writer is shared, so compare library-level runs across modes
-        bench = registry_lookup("cone", 2)
-        paths = []
-        for i, parallel in enumerate((False, True)):
-            cfg = OptimizerConfig(dim=2, x0=bench.default_x0, seed=42, max_iter=40,
-                                  parallel_eval=parallel)
-            result = run(cfg, bench.fn)
-            p = tmp_path / f"mode_{i}.csv"
-            write_trace_csv(str(p), result.trace, bench.global_min_value)
-            paths.append(p)
-        assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_multiple_seeds(self, tmp_path):
         code = main(["--function", "cone", "--seed", "1", "--seed", "2",

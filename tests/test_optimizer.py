@@ -2,7 +2,6 @@
 
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -96,9 +95,12 @@ class TestConfig:
         ("seed", True, "seed must be an integer"),
         ("seed", -1, "unsigned 64-bit"),
         ("seed", 2**64, "unsigned 64-bit"),
+        ("sigma0", 10**400, "positive and finite"),
+        ("x0", [10**400, 10.0], "finite"),
     ], ids=["sigma0-nan", "sigma0-inf", "sigma0-zero", "sigma0-negative", "x0-nan", "x0-inf",
             "dim-float", "dim-negative", "popsize-fraction", "popsize-float", "max_iter-fraction",
-            "seed-fraction", "seed-str", "seed-bool", "seed-negative", "seed-too-large"])
+            "seed-fraction", "seed-str", "seed-bool", "seed-negative", "seed-too-large",
+            "sigma0-int-beyond-float", "x0-int-beyond-float"])
     def test_rejected_at_construction(self, field, value, message):
         # the run boundary: nothing past the config re-checks these
         with pytest.raises(ValueError, match=message):
@@ -146,25 +148,17 @@ class TestConfig:
 class TestEvaluatePopulation:
     def test_direct_values(self):
         pts = np.array([[0.0, 0.0], [3.0, 4.0]])
-        assert np.array_equal(_evaluate(pts, cone, None)[0], [0.0, 5.0])
+        assert np.array_equal(_evaluate(pts, cone)[0], [0.0, 5.0])
 
     def test_nan_maps_to_inf(self):
         def objective(x):
             return np.nan if x[0] > 0 else cone(x)
 
         pts = np.array([[1.0, 0.0], [-3.0, 4.0]])
-        fit, n_nan = _evaluate(pts, objective, None)
+        fit, n_nan = _evaluate(pts, objective)
         assert fit[0] == np.inf
         assert int(np.argmin(fit)) == 1
         assert n_nan == 1
-
-    def test_parallel_matches_sequential(self):
-        rng = np.random.default_rng(0)
-        pts = rng.normal(size=(64, 3))
-        seq = _evaluate(pts, cone, None)[0]
-        with ThreadPoolExecutor() as pool:
-            par = _evaluate(pts, cone, pool)[0]
-        assert np.array_equal(seq, par)
 
 
 class TestBudget:
@@ -296,13 +290,6 @@ class TestRunOnCone:
             assert ta.cov_frobenius_norm == tb.cov_frobenius_norm
             assert ta.retrial == tb.retrial
             assert ta.event == tb.event
-
-    def test_parallel_eval_identical_run(self):
-        a = run(_cone_config(max_iter=80, seed=4), cone)
-        b = run(_cone_config(max_iter=80, seed=4, parallel_eval=True), cone)
-        assert a.f_best == b.f_best
-        assert np.array_equal(a.x_best, b.x_best)
-        assert [t.cov_frobenius_norm for t in a.trace] == [t.cov_frobenius_norm for t in b.trace]
 
 
 class TestStateConsistency:
@@ -524,8 +511,38 @@ class TestStops:
             np.float64(1e300) * np.float64(1e300)  # numpy warns of this overflow
             return cone(x)
 
+        def loud_callback(observation):
+            np.float64(1e300) * np.float64(1e300)
+
         with pytest.warns(RuntimeWarning, match="overflow"):
             run(_cone_config(max_iter=1), loud)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            run(_cone_config(max_iter=1), cone, callback=loud_callback)
+
+    def test_objective_exception_propagates_unchanged(self):
+        error = ZeroDivisionError("seventh point")
+        calls = []
+
+        def failing(x):
+            calls.append(x)
+            if len(calls) == 7:
+                raise error
+            return cone(x)
+
+        with pytest.raises(ZeroDivisionError) as info:
+            run(_cone_config(max_iter=5), failing)
+        assert info.value is error
+        assert len(calls) == 7
+
+    def test_callback_exception_propagates_unchanged(self):
+        error = KeyError("callback")
+
+        def callback(observation):
+            raise error
+
+        with pytest.raises(KeyError) as info:
+            run(_cone_config(max_iter=5), cone, callback=callback)
+        assert info.value is error
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_huge_finite_covariance_has_finite_norm(self):
