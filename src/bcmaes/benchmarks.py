@@ -110,9 +110,13 @@ def registry_lookup(name: str, dim: int) -> BenchmarkSpec:
     the function evaluated there at runtime; the other three have their exact
     minimum of 0 at the origin. Default start points extend the 2-D
     conventions coordinate-wise: all-10 vectors, all-400 for schwefel1.
+    ``dim`` must be an integer, not a bool; a numpy integer is stored as an int.
     """
     if name not in _REGISTRY:
         raise UnknownFunction(f"unknown benchmark {name!r}; known: {sorted(_REGISTRY)}")
+    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)):
+        raise ValueError(f"dim must be an integer, got {dim!r}")
+    dim = int(dim)
     if dim < 1:
         raise ValueError("dim must be >= 1")
     fn = _REGISTRY[name]

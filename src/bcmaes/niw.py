@@ -1,7 +1,8 @@
 """Normal-Inverse-Wishart belief over the sampling distribution's (mean, covariance).
 
-The state is the hyperparameter quadruple (mu, kappa, nu, psi). Closed-form
-expectations drive candidate sampling, and evaluated populations feed back
+The state is the hyperparameter quadruple (mu, kappa, nu, psi). Its
+expectations drive candidate sampling: E[mean] is ``mu`` itself, and
+E[covariance] is :func:`expected_covariance`. Evaluated populations feed back
 through exact conjugate updates. The records are internal state of the run
 loop, which builds them from values derived from a checked
 :class:`~bcmaes.optimizer.OptimizerConfig`, so nothing here checks its
@@ -65,11 +66,6 @@ def _record(cls, **fields):
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
-
-
-def expected_mean(p: NiwParams) -> np.ndarray:
-    """E[mean] under the belief: the location parameter itself."""
-    return p.mu.copy()
 
 
 def expected_covariance(p: NiwParams) -> np.ndarray:

@@ -28,7 +28,7 @@ from .errors import PriorDegeneracy
 from .likelihood import STRATEGIES, summarize
 from .linalg import _sample, frobenius_norm, spd_repair
 from .niw import NiwParams, _record, expected_covariance, posterior_update
-from .restart import TERMINATE, RestartDecision, init_restart, step_restart
+from .restart import TERMINATE, init_restart, step_restart
 from .rng import RandomSource
 
 STOP_CONTROLLER = "ControllerTerminate"
@@ -71,7 +71,7 @@ class OptimizerConfig:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         try:
             x0 = np.asarray(self.x0, dtype=float)
-        except OverflowError as exc:  # an int beyond the float range
+        except (OverflowError, TypeError) as exc:  # an int beyond the float range, or not a real
             raise ValueError("x0 entries must be finite") from exc
         if x0.shape != (self.dim,):
             raise ValueError(f"x0 must have shape ({self.dim},), got {x0.shape}")
@@ -80,8 +80,8 @@ class OptimizerConfig:
         object.__setattr__(self, "x0", x0)
         try:
             sigma0 = float(self.sigma0)
-        except OverflowError:  # an int beyond the float range, refused below as inf
-            sigma0 = math.inf
+        except (OverflowError, TypeError):  # an int beyond the float range, or not a real
+            sigma0 = math.nan  # refused below
         # written as not (...) so that NaN fails too
         if not (0 < sigma0 < math.inf):
             raise ValueError("sigma0 must be positive and finite")
@@ -113,6 +113,16 @@ class IterationTrace:
 
 @dataclass(frozen=True)
 class RunResult:
+    """What a run returns, in units of ``x``.
+
+    ``x_best`` is the best point evaluated, and ``objective(x_best)`` is
+    ``f_best`` bit for bit (``x0`` and +inf when no evaluation was finite).
+    ``iterations`` is ``len(trace)``, ``stop_reason`` one of the ``STOP_*``
+    names, and ``trace`` holds one :class:`IterationTrace` per iteration.
+    ``n_evals`` is ``popsize * iterations``; ``nan_evals`` counts the
+    evaluations that returned NaN and were ranked as +inf.
+    """
+
     x_best: np.ndarray
     f_best: float
     iterations: int
@@ -120,26 +130,6 @@ class RunResult:
     trace: list[IterationTrace]
     n_evals: int
     nan_evals: int
-
-
-@dataclass(frozen=True)
-class IterationObservation:
-    """Per-iteration record passed to an optional run callback.
-
-    Its arrays are the loop's own, not copies, in units of ``y`` (the
-    objective saw ``x0 + sigma0 * y``): ``sampled_mean`` is ``state_before.mu``
-    (0 at iteration 1), and ``state_after`` is the belief the next iteration
-    samples from. The callback must not write them.
-    """
-
-    iter: int
-    points: np.ndarray
-    fitness: np.ndarray
-    sampled_mean: np.ndarray
-    sampled_cov: np.ndarray
-    state_before: NiwParams
-    state_after: NiwParams
-    decision: RestartDecision
 
 
 def init_prior(dim: int) -> NiwParams:
@@ -185,7 +175,7 @@ def _softmax(q: np.ndarray) -> np.ndarray:
 def run(
     config: OptimizerConfig,
     objective: Callable[[np.ndarray], float],
-    callback: Optional[Callable[[IterationObservation], None]] = None,
+    callback: Optional[Callable[[IterationTrace], None]] = None,
 ) -> RunResult:
     """Minimize ``objective`` under the given configuration.
 
@@ -195,7 +185,10 @@ def run(
     non-improving iterations end its ladder), the iteration cap, or the
     Frobenius norm of the expected covariance of ``y`` falling below 1e-12.
     The objective is called exactly ``popsize`` times per iteration, once
-    per point, in order, in the calling thread; an exception the objective
+    per point, in order, in the calling thread. ``callback``, if given, is
+    called once per iteration with the :class:`IterationTrace` row just
+    appended, the same object as ``result.trace[t - 1]``, before the stop
+    checks and so also for the last iteration. An exception the objective
     or the callback raises propagates unchanged.
 
     Errors: an invalid configuration raises ``ValueError`` when the
@@ -252,7 +245,6 @@ def run(
                 summary = summarize(points, fitness, weights, mean, cov, config.strategy)
             except ValueError as exc:  # its inputs are certified: the scatter overflowed
                 raise PriorDegeneracy(f"population scatter not finite at iteration {t}") from exc
-            state_before = state
             state = posterior_update(state, summary)
 
             i_best = fitness.argmin()
@@ -279,33 +271,20 @@ def run(
             cov_norm = frobenius_norm(belief_cov)
             mean_x = state.mu * sigma0 + x0
         # the records are frozen, but built without the dataclass __init__
-        trace.append(
-            _record(
-                IterationTrace,
-                iter=t,
-                f_best_iter=f_best_iter,
-                f_min_so_far=controller.f_min,
-                expected_mean=mean_x,
-                # sigma0 * sigma0 first would overflow or underflow where the product does not
-                cov_frobenius_norm=sigma0 * cov_norm * sigma0,
-                retrial=controller.retrial,
-                event=event,
-            )
+        row = _record(
+            IterationTrace,
+            iter=t,
+            f_best_iter=f_best_iter,
+            f_min_so_far=controller.f_min,
+            expected_mean=mean_x,
+            # sigma0 * sigma0 first would overflow or underflow where the product does not
+            cov_frobenius_norm=sigma0 * cov_norm * sigma0,
+            retrial=controller.retrial,
+            event=event,
         )
+        trace.append(row)
         if callback is not None:
-            callback(
-                _record(
-                    IterationObservation,
-                    iter=t,
-                    points=points,
-                    fitness=fitness,
-                    sampled_mean=mean,
-                    sampled_cov=cov,
-                    state_before=state_before,
-                    state_after=state,
-                    decision=decision,
-                )
-            )
+            callback(row)
         if stop_reason is not None:
             break
         if cov_norm < _VAR_NORM_TOL:

@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 
-from bcmaes import linalg
+from bcmaes import linalg, optimizer
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -77,3 +77,53 @@ def spy_factorizations():
         for name in ("cholesky", "eigh"):
             stack.enter_context(mock.patch.object(np.linalg, name, counting(name)))
         yield spy
+
+
+@contextlib.contextmanager
+def spy_loop():
+    """Record what each iteration of ``run`` computes, in units of ``y``.
+
+    ``spd_repair``, ``_sample``, ``posterior_update``, ``step_restart`` and
+    ``expected_covariance`` are wrapped in ``bcmaes.optimizer``'s namespace,
+    which the loop calls them through. Yields a list that gets one namespace
+    per iteration, whose values are the loop's own objects: ``sampled_cov``
+    (the certified covariance), ``sampled_mean`` and ``points`` (what was
+    sampled from it), ``state_before`` and ``state_updated`` (the belief
+    before and after the conjugate update), ``decision`` (the controller's)
+    and ``state_after`` (the belief after any controller intervention, which
+    the next iteration samples from).
+    """
+    seen = []
+
+    def spd_repair(m):
+        out = real["spd_repair"](m)
+        seen.append(SimpleNamespace(sampled_cov=out[0]))
+        return out
+
+    def sample(mean, chol, k, rng):
+        out = real["_sample"](mean, chol, k, rng)
+        seen[-1].sampled_mean, seen[-1].points = mean, out[0]
+        return out
+
+    def posterior_update(p, s):
+        q = real["posterior_update"](p, s)
+        seen[-1].state_before, seen[-1].state_updated = p, q
+        return q
+
+    def step_restart(*args):
+        out = real["step_restart"](*args)
+        seen[-1].decision = out[1]
+        return out
+
+    def expected_covariance(p):
+        if seen:  # the loop's first call, before iteration 1, takes the prior
+            seen[-1].state_after = p
+        return real["expected_covariance"](p)
+
+    wrappers = {"spd_repair": spd_repair, "_sample": sample, "posterior_update": posterior_update,
+                "step_restart": step_restart, "expected_covariance": expected_covariance}
+    real = {name: getattr(optimizer, name) for name in wrappers}
+    with contextlib.ExitStack() as stack:
+        for name, wrapper in wrappers.items():
+            stack.enter_context(mock.patch.object(optimizer, name, wrapper))
+        yield seen

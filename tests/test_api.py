@@ -5,6 +5,7 @@ import inspect
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import bcmaes
@@ -60,6 +61,14 @@ def test_names_the_benchmark_harness_calls():
     assert bcmaes.default_popsize(2) == 6
     assert bcmaes.registry_lookup("cone", 2).fn is bcmaes.cone
     assert "callback" in inspect.signature(bcmaes.run).parameters
+    # a one-argument callback that gets the run's trace row, once per iteration
+    assert typing.get_type_hints(bcmaes.run)["callback"] == \
+        typing.Optional[typing.Callable[[bcmaes.IterationTrace], None]]
+    rows = []
+    config = bcmaes.OptimizerConfig(dim=2, x0=[10.0, 10.0], max_iter=3)
+    result = bcmaes.run(config, bcmaes.cone, callback=rows.append)
+    assert len(rows) == result.iterations == 3
+    assert all(isinstance(row, bcmaes.IterationTrace) for row in rows)
     config_fields = {f.name for f in dataclasses.fields(bcmaes.OptimizerConfig)}
     assert {"dim", "x0", "popsize", "max_iter", "strategy", "seed"} <= config_fields
     spec_fields = {f.name for f in dataclasses.fields(bcmaes.cli.RunSpec)}

@@ -203,6 +203,16 @@ class TestRegistry:
         with pytest.raises(UnknownFunction):
             registry_lookup("foo", 2)
 
+    @pytest.mark.parametrize("dim", [2.0, True, "2", None], ids=["float", "bool", "str", "none"])
+    def test_non_integer_dim_rejected(self, dim):
+        with pytest.raises(ValueError, match="dim must be an integer"):
+            registry_lookup("cone", dim)
+
+    def test_numpy_integer_dim_stored_as_int(self):
+        spec = registry_lookup("cone", np.int64(2))
+        assert type(spec.dim) is int and spec.dim == 2
+        assert np.array_equal(spec.default_x0, [10.0, 10.0])
+
     def test_higher_dim_start_points_extended(self):
         assert np.array_equal(registry_lookup("rastrigin", 4).default_x0, np.full(4, 10.0))
         assert np.array_equal(registry_lookup("schwefel1", 3).default_x0, np.full(3, 400.0))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bcmaes.niw import NiwParams, SummaryStats, expected_covariance, expected_mean, posterior_update
+from bcmaes.niw import NiwParams, SummaryStats, expected_covariance, posterior_update
 
 from _util import make_spd, rel_err
 from oracles import NigParams, nig_posterior, posterior_update_raw, weighted_update_expectations
@@ -21,15 +21,6 @@ def _random_niw(rng: np.random.Generator, d: int) -> NiwParams:
 
 
 class TestExpectations:
-    def test_expected_mean_identity(self):
-        p = NiwParams(mu=np.zeros(2), kappa=1.0, nu=5.0, psi=np.eye(2))
-        assert np.array_equal(expected_mean(p), np.zeros(2))
-
-    @pytest.mark.parametrize("point", [(10.0, 10.0), (400.0, 400.0)])
-    def test_expected_mean_start_points(self, point):
-        p = NiwParams(mu=np.array(point), kappa=2.0, nu=6.0, psi=np.eye(2))
-        assert np.array_equal(expected_mean(p), np.array(point))
-
     def test_expected_covariance_unit_denominator(self):
         p = NiwParams(mu=np.zeros(2), kappa=1.0, nu=4.0, psi=np.eye(2))
         assert np.array_equal(expected_covariance(p), np.eye(2))
@@ -197,7 +188,7 @@ class TestWeightedUpdateExpectations:
             )
             mean_w, cov_w = weighted_update_expectations(p, s)
             q = posterior_update(p, s)
-            assert rel_err(mean_w, expected_mean(q)) <= 1e-10
+            assert rel_err(mean_w, q.mu) <= 1e-10
             assert rel_err(cov_w, expected_covariance(q)) <= 1e-10
 
     def test_reduces_to_classic_weights_when_n_equals_d(self):

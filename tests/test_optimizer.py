@@ -11,12 +11,12 @@ from bcmaes import optimizer
 from bcmaes.benchmarks import FUNCTION_NAMES, cone, registry_lookup, schwefel2
 from bcmaes.errors import PriorDegeneracy
 from bcmaes.linalg import scaled_jitter_eps
-from bcmaes.niw import expected_covariance, expected_mean, posterior_update
+from bcmaes.niw import expected_covariance, posterior_update
 from bcmaes.optimizer import (
     STOP_CONTROLLER,
     STOP_MAX_ITER,
     STOP_VAR_NORM,
-    IterationObservation,
+    IterationTrace,
     OptimizerConfig,
     default_popsize,
     init_prior,
@@ -26,7 +26,7 @@ from bcmaes.optimizer import (
 from bcmaes.rng import RandomSource
 
 import oracles
-from _util import spy_factorizations
+from _util import spy_factorizations, spy_loop
 
 
 def _cone_config(**kw):
@@ -51,7 +51,7 @@ class TestInitPrior:
     def test_expected_parameters_match_construction(self):
         # N(0, I) in the loop's units: N(x0, sigma0**2 I) in x = x0 + sigma0 * y
         p = init_prior(2)
-        assert np.array_equal(expected_mean(p), [0.0, 0.0])
+        assert np.array_equal(p.mu, [0.0, 0.0])
         assert np.array_equal(expected_covariance(p), np.eye(2))
 
     def test_dim2_hyperparameters(self):
@@ -97,10 +97,16 @@ class TestConfig:
         ("seed", 2**64, "unsigned 64-bit"),
         ("sigma0", 10**400, "positive and finite"),
         ("x0", [10**400, 10.0], "finite"),
+        ("sigma0", None, "positive and finite"),
+        ("sigma0", 1j, "positive and finite"),
+        ("sigma0", [1.0], "positive and finite"),
+        ("x0", [{}, 0], "finite"),
+        ("x0", [1 + 1j, 0], "finite"),
     ], ids=["sigma0-nan", "sigma0-inf", "sigma0-zero", "sigma0-negative", "x0-nan", "x0-inf",
             "dim-float", "dim-negative", "popsize-fraction", "popsize-float", "max_iter-fraction",
             "seed-fraction", "seed-str", "seed-bool", "seed-negative", "seed-too-large",
-            "sigma0-int-beyond-float", "x0-int-beyond-float"])
+            "sigma0-int-beyond-float", "x0-int-beyond-float", "sigma0-none", "sigma0-complex",
+            "sigma0-list", "x0-dict-entry", "x0-complex-entry"])
     def test_rejected_at_construction(self, field, value, message):
         # the run boundary: nothing past the config re-checks these
         with pytest.raises(ValueError, match=message):
@@ -139,8 +145,8 @@ class TestConfig:
     def test_small_prior_scale_accepted_and_sampled(self):
         # the first sampled covariance is the requested sigma0**2 * I in x, not
         # jitter: I in the loop's units
-        seen = []
-        run(_cone_config(sigma0=1e-150, max_iter=1), cone, callback=seen.append)
+        with spy_loop() as seen:
+            run(_cone_config(sigma0=1e-150, max_iter=1), cone)
         assert np.array_equal(seen[0].sampled_cov, np.eye(2))
         assert np.array_equal(1e-150**2 * seen[0].sampled_cov, 1e-300 * np.eye(2))
 
@@ -210,16 +216,17 @@ class TestBudget:
         assert spy.numpy["eigh"] == 0
 
     def test_loop_records_stay_frozen(self):
-        seen = []
-        result = run(_cone_config(max_iter=30), cone, callback=seen.append)
-        records = [result.trace[-1], seen[-1], seen[-1].state_after, seen[-1].decision]
-        for record, field in zip(records, ("f_best_iter", "points", "psi", "new_sigma_scale")):
+        rows = []
+        with spy_loop() as seen:
+            result = run(_cone_config(max_iter=30), cone, callback=rows.append)
+        records = [result.trace[-1], rows[-1], seen[-1].state_after, seen[-1].decision]
+        for record, field in zip(records, ("f_best_iter", "event", "psi", "new_sigma_scale")):
             with pytest.raises(FrozenInstanceError):
                 setattr(record, field, None)
             with pytest.raises(FrozenInstanceError):
                 setattr(record, "extra", None)
         assert type(result.trace[-1]).__name__ == "IterationTrace"
-        assert isinstance(seen[-1], IterationObservation)
+        assert isinstance(rows[-1], IterationTrace)
 
 
 class TestWeights:
@@ -294,25 +301,22 @@ class TestRunOnCone:
 
 class TestStateConsistency:
     def test_sampling_covariance_is_belief_expectation(self):
-        seen = []
-
-        def observer(obs: IterationObservation):
-            seen.append(obs)
-
-        run(_cone_config(max_iter=60), cone, callback=observer)
+        with spy_loop() as seen:
+            run(_cone_config(max_iter=60), cone)
         assert len(seen) >= 2
         for prev, cur in zip(seen, seen[1:]):
             expected = expected_covariance(prev.state_after)
             assert np.abs(cur.sampled_cov - expected).max() <= 1e-12
         for obs in seen:
-            assert np.array_equal(obs.sampled_mean, expected_mean(obs.state_before))
+            assert np.array_equal(obs.sampled_mean, obs.state_before.mu)
 
     def test_first_iteration_mean_is_convex_combination(self):
-        seen = []
         cfg = _cone_config(max_iter=1, strategy="s2")
-        run(cfg, cone, callback=seen.append)
+        with spy_loop() as seen:
+            run(cfg, cone)
         obs = seen[0]
-        x_best = obs.points[int(np.argmin(obs.fitness))]
+        fitness = [cone(x) for x in obs.points * cfg.sigma0 + cfg.x0]
+        x_best = obs.points[int(np.argmin(fitness))]
         k = cfg.k
         w = k / (1.0 + k)  # kappa0 = 1
         expected = obs.state_before.mu + w * (x_best - obs.state_before.mu)
@@ -321,8 +325,8 @@ class TestStateConsistency:
 
     def test_restart_rebuild_scales_from_memorized_covariance(self):
         objective = _RisingObjective()
-        seen = []
-        run(_cone_config(max_iter=30, seed=2), objective, callback=seen.append)
+        with spy_loop() as seen:
+            run(_cone_config(max_iter=30, seed=2), objective)
         restart_obs = [o for o in seen if o.decision.restart_point is not None]
         assert len(restart_obs) == 1
         obs = restart_obs[0]
@@ -331,6 +335,58 @@ class TestStateConsistency:
         assert np.array_equal(obs.decision.restart_sigma, np.eye(2))
         after = expected_covariance(obs.state_after)
         assert np.abs(after - 0.9 * np.eye(2)).max() <= 1e-12
+
+
+class TestCallback:
+    @pytest.mark.parametrize("objective,max_iter,stop", [
+        (_RisingObjective, 200, STOP_CONTROLLER),
+        (lambda: cone, 5, STOP_MAX_ITER),
+        (lambda: cone, 1500, STOP_VAR_NORM),
+    ], ids=["controller", "max-iter", "var-norm"])
+    def test_gets_each_trace_row_once(self, objective, max_iter, stop):
+        # the row itself, not a copy, also for the iteration the run stops at
+        seen = []
+        result = run(_cone_config(seed=2, max_iter=max_iter), objective(), callback=seen.append)
+        assert result.stop_reason == stop
+        assert len(seen) == result.iterations == len(result.trace)
+        assert all(a is b for a, b in zip(seen, result.trace))
+        assert [row.iter for row in seen] == list(range(1, result.iterations + 1))
+
+    def test_called_before_the_next_iteration_evaluates(self):
+        cfg = _cone_config(max_iter=20)
+        log = []
+
+        def objective(x):
+            log.append("eval")
+            return cone(x)
+
+        result = run(cfg, objective, callback=lambda row: log.append(row.iter))
+        assert log == [e for t in range(1, result.iterations + 1) for e in ["eval"] * cfg.k + [t]]
+
+    def test_sees_every_row_built_before_prior_degeneracy(self, monkeypatch):
+        # the mean's guard of iteration 3 raises after rows 1 and 2 were built
+        def overflowing_update(p, s):
+            q = posterior_update(p, s)
+            if q.nu > p.dim + 3 + s.n_obs:
+                q.mu[0] = np.inf
+            return q
+
+        built = []
+        real = optimizer._record
+
+        def recording(cls, **fields):
+            record = real(cls, **fields)
+            if cls is IterationTrace:
+                built.append(record)
+            return record
+
+        monkeypatch.setattr(optimizer, "posterior_update", overflowing_update)
+        monkeypatch.setattr(optimizer, "_record", recording)
+        seen = []
+        with pytest.raises(PriorDegeneracy, match="belief mean not finite at iteration 3"):
+            run(_cone_config(max_iter=10), cone, callback=seen.append)
+        assert [row.iter for row in built] == [1, 2]
+        assert len(seen) == len(built) and all(a is b for a, b in zip(seen, built))
 
 
 @functools.cache
@@ -511,7 +567,7 @@ class TestStops:
             np.float64(1e300) * np.float64(1e300)  # numpy warns of this overflow
             return cone(x)
 
-        def loud_callback(observation):
+        def loud_callback(row):
             np.float64(1e300) * np.float64(1e300)
 
         with pytest.warns(RuntimeWarning, match="overflow"):
@@ -537,7 +593,7 @@ class TestStops:
     def test_callback_exception_propagates_unchanged(self):
         error = KeyError("callback")
 
-        def callback(observation):
+        def callback(row):
             raise error
 
         with pytest.raises(KeyError) as info:
@@ -548,11 +604,11 @@ class TestStops:
     def test_huge_finite_covariance_has_finite_norm(self):
         # the covariance in x, sigma0**2 times the loop's, has entries near 1e300:
         # its sum of squares overflows, the reported norm does not
-        seen = []
-        result = run(_cone_config(sigma0=1e150, max_iter=200),
-                     cone, callback=lambda obs: seen.append(expected_covariance(obs.state_after)))
+        with spy_loop() as seen:
+            result = run(_cone_config(sigma0=1e150, max_iter=200), cone)
         assert result.stop_reason == STOP_MAX_ITER
-        for row, cov in zip(result.trace, seen, strict=True):
+        covs = [expected_covariance(obs.state_after) for obs in seen]
+        for row, cov in zip(result.trace, covs, strict=True):
             assert math.isfinite(row.cov_frobenius_norm)
             assert row.cov_frobenius_norm == pytest.approx(
                 1e300 * math.hypot(*cov.ravel().tolist()), rel=1e-15)
@@ -623,7 +679,7 @@ class TestStops:
 
 
 def _x_log_densities(obs, sigma0):
-    """Log-densities of the observed points in x, under N(x0 + sigma0 * mean, sigma0**2 * cov).
+    """Log-densities of a spied iteration's points in x, under N(x0 + sigma0 * mean, sigma0**2 * cov).
 
     ``x = x0 + sigma0 * y`` scales the density of ``y`` by ``sigma0**-d``,
     which is the log-determinant of ``sigma0**2 * cov`` less that of ``cov``.
@@ -656,8 +712,8 @@ class TestOtherDimensions:
         # to zero; the weights come from the variates and do not
         spec = registry_lookup("cone", 100)
         cfg = OptimizerConfig(dim=100, x0=spec.default_x0, sigma0=1e3, max_iter=10, seed=1)
-        seen = []
-        result = run(cfg, spec.fn, callback=seen.append)
+        with spy_loop() as seen:
+            result = run(cfg, spec.fn)
         assert not np.any(np.exp(_x_log_densities(seen[0], 1e3)))
         assert result.stop_reason == STOP_MAX_ITER
         assert result.iterations == 10
@@ -673,8 +729,8 @@ class TestOtherDimensions:
         # without a warning
         spec = registry_lookup(function, dim)
         cfg = OptimizerConfig(dim=dim, x0=spec.default_x0, sigma0=sigma0, max_iter=5, seed=1)
-        seen = []
-        result = run(cfg, spec.fn, callback=seen.append)
+        with spy_loop() as seen:
+            result = run(cfg, spec.fn)
         assert _x_log_densities(seen[0], sigma0).max() > 710.0
         assert result.stop_reason in (STOP_CONTROLLER, STOP_MAX_ITER, STOP_VAR_NORM)
         assert result.iterations == len(result.trace) <= 5
