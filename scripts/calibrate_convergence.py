@@ -36,13 +36,17 @@ against its reference under a fixed rule, per function:
 Quantiles are linear percentiles, and an interpolation that touches an
 infinite value takes that value. d=100 trajectories depend on the BLAS
 thread count, so ``OPENBLAS_NUM_THREADS`` defaults to 1; a value already
-set is kept and recorded in the golden file.
+set is kept and recorded in the golden file. The digests also depend on the
+CPU, through the kernels that BLAS, numpy and the C library pick for it, so
+the golden file records the machine it was written on too (``machine``).
 
 Usage:
     PYTHONPATH=src python scripts/calibrate_convergence.py [--write]
 
-Prints each key whose digest differs, is missing from the golden file or is
-extra in it, then ``N/N equal``; then ``<scan> <function>: ok`` or ``FAIL``,
+Prints a ``note:`` line for the thread count and for each entry of the
+machine record that differs from the golden file's, then each key whose
+digest differs, is missing from the golden file or is extra in it, then
+``N/N equal``; then ``<scan> <function>: ok`` or ``FAIL``,
 or ``<scan>: missing``. The run count and wall time go to stderr. Exits 1
 on any digest difference, violation or missing reference, and 2, before
 writing anything, when a reference was made with another dimension or other
@@ -56,15 +60,19 @@ import os
 BLAS_THREADS = os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse  # noqa: E402
+import ctypes  # noqa: E402
 import hashlib  # noqa: E402
 import itertools  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
+import platform  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 from typing import NamedTuple, Optional  # noqa: E402
+
+import numpy as np  # noqa: E402
 
 from bcmaes import BcmaesError, OptimizerConfig, default_popsize, registry_lookup, run  # noqa: E402
 from bcmaes.cli import write_trace_csv  # noqa: E402
@@ -195,6 +203,50 @@ def csv_digest(r: Run, result, out_dir: str) -> tuple[str, str]:
     return name, hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _openblas_core() -> str:
+    """The kernel set that numpy's bundled OpenBLAS picked for this CPU, such as ``SkylakeX``."""
+    libs = sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("libscipy_openblas*"))
+    corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
+def _numpy_simd() -> list[str]:
+    """The SIMD targets numpy dispatches to on this CPU; empty at numpy's baseline."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    return sorted(f for f in __cpu_dispatch__ if __cpu_features__.get(f))
+
+
+def _libc() -> Optional[str]:
+    """The C library and its version, such as ``glibc 2.36``; ``None`` where Python cannot tell."""
+    return " ".join(platform.libc_ver()).strip() or None
+
+
+def machine() -> dict:
+    """The golden file's machine record: what the digests' bits depend on beside the install.
+
+    Each entry is ``None`` where its probe cannot answer on this machine or
+    install. The probes live here and not in the package, so that
+    ``import bcmaes`` loads nothing more.
+    """
+    record = {}
+    for name, probe in (("openblas_core", _openblas_core), ("numpy_simd", _numpy_simd),
+                        ("libc", _libc)):
+        try:
+            record[name] = probe()
+        except (AttributeError, ImportError, IndexError, OSError):
+            record[name] = None
+    return record
+
+
+def machine_notes(recorded: dict, here: dict) -> list[str]:
+    """One ``note:`` line per entry in which machine record ``here`` differs from ``recorded``."""
+    return [f"note: {name} {json.dumps(here[name])}, the file was written on "
+            f"{json.dumps(recorded.get(name))}"
+            for name in here if recorded.get(name) != here[name]]
+
+
 def measure():
     """Run ``RUNS`` and the scans; return the digests, the scans' documents and the run count.
 
@@ -219,15 +271,18 @@ def measure():
     docs = {name: {"dim": SCANS[name][0], "seeds": len(SCANS[name][1]),
                    "runs": [records[r.resolved()] for r in runs]}
             for name, runs in scans.items()}
-    digests = {"openblas_num_threads": BLAS_THREADS, "csv": csv, "full": full}
+    digests = {"openblas_num_threads": BLAS_THREADS, "machine": machine(), "csv": csv, "full": full}
     return digests, docs, len(made_by)
 
 
 def check_digests(golden: dict, new: dict) -> bool:
     """Print every key whose digest is not the golden one; return whether any is not."""
-    if golden and golden.get("openblas_num_threads") != new["openblas_num_threads"]:
-        print(f"note: OPENBLAS_NUM_THREADS {new['openblas_num_threads']}, the file was "
-              f"written under {golden.get('openblas_num_threads')}")
+    if golden:
+        if golden.get("openblas_num_threads") != new["openblas_num_threads"]:
+            print(f"note: OPENBLAS_NUM_THREADS {new['openblas_num_threads']}, the file was "
+                  f"written under {golden.get('openblas_num_threads')}")
+        for note in machine_notes(golden.get("machine", {}), new["machine"]):
+            print(note)
     want = {**golden.get("csv", {}), **golden.get("full", {})}
     got = {**new["csv"], **new["full"]}
     keys = sorted(set(want) | set(got))

@@ -8,7 +8,8 @@ controller for escaping local minima.
 The package namespace is the run API: config, run, result and benchmarks.
 The loop's layers are imported from their modules: ``bcmaes.niw`` (belief),
 ``bcmaes.restart`` (controller), ``bcmaes.linalg`` (repair and sampling),
-``bcmaes.rng`` (variates) and ``bcmaes.likelihood`` (summary statistics).
+``bcmaes.rng`` (variates) and ``bcmaes.likelihood`` (the likelihood summary
+``(mu_bar, sigma_bar, n_obs)`` that ``bcmaes.niw.posterior_update`` takes).
 """
 
 from .benchmarks import BenchmarkSpec, cone, rastrigin, registry_lookup, schwefel1, schwefel2

@@ -1,11 +1,12 @@
-"""Turn one evaluated population into the likelihood summary (mu_bar, sigma_bar).
+"""Turn one evaluated population into the likelihood summary (mu_bar, sigma_bar, n_obs).
 
 The run loop weights each candidate by its sampling density and hands the
 population to :func:`summarize`, which rank-pairs it (weights in descending
 order against points in ascending fitness order) and combines it into a mean
 estimate and a Monte-Carlo bias-corrected covariance estimate. Both
 estimators cancel back to the simulation-distribution parameters whenever
-the fitness ranking agrees with the density ranking.
+the fitness ranking agrees with the density ranking. The loop passes the
+three values to :func:`~bcmaes.niw.posterior_update`.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import _cholesky, scaled_jitter_eps
-from .niw import SummaryStats, _record
 
 STRATEGIES = ("s1", "s2")
 
@@ -25,8 +25,8 @@ def summarize(
     prior_mean: np.ndarray,
     prior_cov: np.ndarray,
     strategy: str,
-) -> SummaryStats:
-    """Produce the update summary for one population.
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Produce the update summary ``(mu_bar, sigma_bar, n_obs)`` for one population.
 
     The points are paired by one stable sort on two keys, which is the
     two-stage sort of weights descending, then fitness ascending: the points
@@ -47,8 +47,8 @@ def summarize(
     norm, the largest absolute row sum, plus ``scaled_jitter_eps(prior_cov)``
     is added to its diagonal. That norm bounds every eigenvalue's magnitude,
     so the shifted matrix is positive definite with no search and no second
-    factorization. The full population size is credited as the observation
-    count.
+    factorization. The full population size k is credited as the
+    observation count ``n_obs``.
 
     The run loop guarantees the inputs, and nothing here checks them:
 
@@ -96,4 +96,4 @@ def summarize(
         # the infinity norm, the largest absolute row sum, is at least every |eigenvalue|
         shift = np.maximum.reduce(np.add.reduce(np.abs(out), axis=1))
         out.flat[::out.shape[0] + 1] += shift + scaled_jitter_eps(prior_cov)
-    return _record(SummaryStats, mu_bar=mu_bar, sigma_bar=out, n_obs=points.shape[0])
+    return mu_bar, out, points.shape[0]

@@ -3,10 +3,11 @@
 The state is the hyperparameter quadruple (mu, kappa, nu, psi). Its
 expectations drive candidate sampling: E[mean] is ``mu`` itself, and
 E[covariance] is :func:`expected_covariance`. Evaluated populations feed back
-through exact conjugate updates. The records are internal state of the run
-loop, which builds them from values derived from a checked
-:class:`~bcmaes.optimizer.OptimizerConfig`, so nothing here checks its
-arguments. The independent routes that check the update (the
+through exact conjugate updates from the likelihood summary
+(mu_bar, sigma_bar, n_obs) that :func:`~bcmaes.likelihood.summarize` returns.
+The records are internal state of the run loop, which builds them from values
+derived from a checked :class:`~bcmaes.optimizer.OptimizerConfig`, so nothing
+here checks its arguments. The independent routes that check the update (the
 raw-observation update, its 1-D Normal-Inverse-Gamma twin and the
 weighted-combination form of the expectations) live with the tests.
 """
@@ -24,9 +25,10 @@ class NiwParams:
 
     ``mu`` is a float64 vector and ``psi`` a symmetric positive-definite
     float64 matrix of the same dimension; ``kappa`` and ``nu`` are floats,
-    real-valued so that repeated additive updates and rescaling
-    interventions compose freely. Construction does not check any of this:
-    the run loop's values satisfy it by construction.
+    which each update increases by the observation count. The controller's
+    interventions rescale or replace ``psi`` and replace ``mu``; they never
+    touch ``kappa`` or ``nu``. Construction does not check any of this: the
+    run loop's values satisfy it by construction.
     """
 
     mu: np.ndarray
@@ -37,22 +39,6 @@ class NiwParams:
     @property
     def dim(self) -> int:
         return self.mu.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class SummaryStats:
-    """Likelihood summary credited to one update.
-
-    ``sigma_bar`` enters the scale update additively, i.e. it plays the role
-    of the sum-of-squares scatter term; ``n_obs`` is the observation count
-    added to the pseudo-counts. ``sigma_bar`` is a positive semi-definite
-    float64 matrix matching the float64 vector ``mu_bar``, and ``n_obs`` is
-    at least 1; construction does not check it.
-    """
-
-    mu_bar: np.ndarray
-    sigma_bar: np.ndarray
-    n_obs: int
 
 
 def _record(cls, **fields):
@@ -78,10 +64,16 @@ def expected_covariance(p: NiwParams) -> np.ndarray:
     return p.psi / (p.nu - p.dim - 1)
 
 
-def posterior_update(p: NiwParams, s: SummaryStats) -> NiwParams:
-    """Exact conjugate update from a likelihood summary.
+def posterior_update(
+    p: NiwParams, mu_bar: np.ndarray, sigma_bar: np.ndarray, n_obs: int
+) -> NiwParams:
+    """Exact conjugate update from the likelihood summary (mu_bar, sigma_bar, n_obs).
 
-    With n = ``s.n_obs``::
+    ``sigma_bar`` enters the scale update additively: it plays the role of
+    the sum-of-squares scatter term. It is a positive semi-definite float64
+    matrix matching the float64 vector ``mu_bar``, and ``n_obs``, the
+    observation count added to the pseudo-counts, is at least 1; neither is
+    checked. With n = ``n_obs``::
 
         mu'    = (kappa * mu + n * mu_bar) / (kappa + n)
         kappa' = kappa + n
@@ -96,16 +88,16 @@ def posterior_update(p: NiwParams, s: SummaryStats) -> NiwParams:
     one jitter where that factorization fails and rejects a non-finite or
     indefinite scale.
     """
-    n = s.n_obs
+    n = n_obs
     kappa = p.kappa
     # in place, in the order of the formulas above, so the bits are those of the plain expressions
     mu_new = kappa * p.mu
-    mu_new += n * s.mu_bar
+    mu_new += n * mu_bar
     mu_new /= kappa + n
-    shift = s.mu_bar - p.mu
+    shift = mu_bar - p.mu
     outer = shift[:, None] * shift
     outer *= (kappa * n) / (kappa + n)
-    psi_new = p.psi + s.sigma_bar
+    psi_new = p.psi + sigma_bar
     psi_new += outer
     psi_new = psi_new + psi_new.T
     psi_new *= 0.5

@@ -69,6 +69,9 @@ class OptimizerConfig:
             raise ValueError("dim must be at least 1")
         if not (0 <= self.seed < 2**64):
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
+        # a complex value would be cast to float with only a ComplexWarning, dropping its imaginary part
+        if np.iscomplexobj(self.x0):
+            raise ValueError("x0 entries must be finite")
         try:
             x0 = np.asarray(self.x0, dtype=float)
         except (OverflowError, TypeError) as exc:  # an int beyond the float range, or not a real
@@ -79,8 +82,8 @@ class OptimizerConfig:
             raise ValueError("x0 entries must be finite")
         object.__setattr__(self, "x0", x0)
         try:
-            sigma0 = float(self.sigma0)
-        except (OverflowError, TypeError):  # an int beyond the float range, or not a real
+            sigma0 = math.nan if np.iscomplexobj(self.sigma0) else float(self.sigma0)
+        except (OverflowError, TypeError, ValueError):  # an int beyond the float range, or not a real
             sigma0 = math.nan  # refused below
         # written as not (...) so that NaN fails too
         if not (0 < sigma0 < math.inf):
@@ -242,10 +245,10 @@ def run(
             q *= -0.5
             weights = _softmax(q)
             try:
-                summary = summarize(points, fitness, weights, mean, cov, config.strategy)
+                mu_bar, sigma_bar, n_obs = summarize(points, fitness, weights, mean, cov, config.strategy)
             except ValueError as exc:  # its inputs are certified: the scatter overflowed
                 raise PriorDegeneracy(f"population scatter not finite at iteration {t}") from exc
-            state = posterior_update(state, summary)
+            state = posterior_update(state, mu_bar, sigma_bar, n_obs)
 
             i_best = fitness.argmin()
             f_best_iter = float(fitness[i_best])

@@ -105,8 +105,8 @@ def spy_loop():
         seen[-1].sampled_mean, seen[-1].points = mean, out[0]
         return out
 
-    def posterior_update(p, s):
-        q = real["posterior_update"](p, s)
+    def posterior_update(p, mu_bar, sigma_bar, n_obs):
+        q = real["posterior_update"](p, mu_bar, sigma_bar, n_obs)
         seen[-1].state_before, seen[-1].state_updated = p, q
         return q
 

@@ -22,7 +22,7 @@ from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dtrtrs
 from scipy.special import ndtri as _scipy_ndtri
 
-from bcmaes.niw import NiwParams, SummaryStats, expected_covariance
+from bcmaes.niw import NiwParams, expected_covariance
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,11 +90,14 @@ def nig_posterior(p: NigParams, xs: np.ndarray) -> NigParams:
     return NigParams(mu=mu_new, lam=p.lam + n, alpha=p.alpha + 0.5 * n, beta=beta_new)
 
 
-def weighted_update_expectations(p: NiwParams, s: SummaryStats) -> tuple[np.ndarray, np.ndarray]:
+def weighted_update_expectations(
+    p: NiwParams, mu_bar: np.ndarray, sigma_bar: np.ndarray, n_obs: int
+) -> tuple[np.ndarray, np.ndarray]:
     """Post-update expectations as a weighted combination of prior quantities.
 
-    Returns the pair (E[mean], E[covariance]) of ``posterior_update(p, s)``
-    without forming the posterior, via::
+    Returns the pair (E[mean], E[covariance]) of
+    ``posterior_update(p, mu_bar, sigma_bar, n_obs)`` without forming the
+    posterior, via::
 
         E'[mean] = E[mean] + w_mu * (mu_bar - E[mean]),      w_mu = n/(kappa+n)
         E'[cov]  = w1 * E[cov] + w2 * R + w3 * sigma_bar
@@ -106,22 +109,22 @@ def weighted_update_expectations(p: NiwParams, s: SummaryStats) -> tuple[np.ndar
         w2 = kappa * n / ((kappa + n) * D)
         w3 = 1 / D.
 
-    ``n`` is the observation count and ``d`` the dimension; when the two
+    ``n`` is the observation count ``n_obs`` and ``d`` the dimension; when the two
     coincide, D = nu - 1 and the weights reduce to the familiar
     (nu - n - 1)/(nu - 1), kappa*n/((kappa+n)(nu-1)), 1/(nu-1) form.
     """
     d = p.dim
     if p.nu <= d + 1:
         raise ValueError(f"nu={p.nu} must exceed d+1={d + 1}")
-    n = s.n_obs
+    n = n_obs
     denom = p.nu + n - d - 1
-    shift = s.mu_bar - p.mu
+    shift = mu_bar - p.mu
     w_mu = n / (p.kappa + n)
     mean_new = p.mu + w_mu * shift
     w1 = (p.nu - d - 1) / denom
     w2 = (p.kappa * n) / ((p.kappa + n) * denom)
     w3 = 1.0 / denom
-    cov_new = w1 * expected_covariance(p) + w2 * np.outer(shift, shift) + w3 * s.sigma_bar
+    cov_new = w1 * expected_covariance(p) + w2 * np.outer(shift, shift) + w3 * sigma_bar
     return mean_new, cov_new
 
 

@@ -21,7 +21,7 @@ from bcmaes.benchmarks import registry_lookup
 from bcmaes.cli import write_trace_csv
 from bcmaes.likelihood import summarize
 from bcmaes.linalg import _sample
-from bcmaes.niw import NiwParams, SummaryStats, expected_covariance, posterior_update
+from bcmaes.niw import NiwParams, expected_covariance, posterior_update
 from bcmaes.optimizer import OptimizerConfig, run
 from bcmaes.restart import TERMINATE, init_restart, step_restart
 from bcmaes.rng import RandomSource
@@ -88,8 +88,7 @@ def test_criterion_2_summary_raw_equivalence():
         xs = p.mu + rng.normal(size=(n, d)) * rng.uniform(0.5, 3)
         xbar = xs.mean(axis=0)
         dev = xs - xbar
-        s = SummaryStats(mu_bar=xbar, sigma_bar=dev.T @ dev, n_obs=n)
-        a = posterior_update(p, s)
+        a = posterior_update(p, xbar, dev.T @ dev, n)
         b = posterior_update_raw(p, xs)
         worst = max(worst, rel_err(a.mu, b.mu), rel_err(a.psi, b.psi),
                     rel_err(a.kappa, b.kappa), rel_err(a.nu, b.nu))
@@ -109,13 +108,10 @@ def test_criterion_3_weighted_combination_identity():
             nu=float(d + 1 + rng.uniform(0.5, 10)),
             psi=make_spd(rng, d),
         )
-        s = SummaryStats(
-            mu_bar=rng.normal(size=d),
-            sigma_bar=make_spd(rng, d, scale=float(rng.uniform(0.1, 5))),
-            n_obs=n,
-        )
-        mean_w, cov_w = weighted_update_expectations(p, s)
-        q = posterior_update(p, s)
+        mu_bar = rng.normal(size=d)
+        sigma_bar = make_spd(rng, d, scale=float(rng.uniform(0.1, 5)))
+        mean_w, cov_w = weighted_update_expectations(p, mu_bar, sigma_bar, n)
+        q = posterior_update(p, mu_bar, sigma_bar, n)
         worst = max(worst, rel_err(mean_w, q.mu),
                     rel_err(cov_w, expected_covariance(q)))
     _report(3, "weighted-combination form matches the posterior expectations (100 cases)",
@@ -133,11 +129,12 @@ def test_criterion_4_cancellation_law():
         fitness = -densities  # fitness ranking identical to density ranking
         prior_mean = rng.normal(size=d)
         prior_cov = make_spd(rng, d)
-        s = summarize(points, fitness, densities / densities.sum(), prior_mean, prior_cov, "s1")
+        mu_bar, sigma_bar, _ = summarize(points, fitness, densities / densities.sum(), prior_mean,
+                                         prior_cov, "s1")
         worst = max(
             worst,
-            float(np.abs(s.mu_bar - prior_mean).max()),
-            float(np.abs(s.sigma_bar - prior_cov).max()),
+            float(np.abs(mu_bar - prior_mean).max()),
+            float(np.abs(sigma_bar - prior_cov).max()),
         )
     _report(4, "aligned rankings cancel back to the prior parameters (50 cases)",
             worst <= 1e-12, f"max abs err {worst:.2e}")

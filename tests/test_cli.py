@@ -6,6 +6,7 @@ import math
 import os
 import xml.dom.minidom
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -234,12 +235,12 @@ class TestPlot:
     def test_two_strategy_chart(self, tmp_path):
         paths = self._make_csvs(tmp_path)
         data_path, svg_path = emit_plot_data([str(p) for p in paths], str(tmp_path / "plots"))
-        svg = open(svg_path).read()
+        svg = Path(svg_path).read_text()
         assert "B-CMA-ES S1" in svg
         assert "B-CMA-ES S2" in svg
         assert svg.count("<polyline") == 2
         assert "#ff7f0e" in svg and "#1f77b4" in svg
-        data_lines = open(data_path).read().splitlines()
+        data_lines = Path(data_path).read_text().splitlines()
         assert data_lines[0] == "iter,cone_s1_3,cone_s2_3"
 
     def test_ragged_runs_padded_with_blanks(self, tmp_path):
@@ -250,7 +251,7 @@ class TestPlot:
         p2 = tmp_path / "cone_s2_8.csv"
         write_trace_csv(str(p2), result.trace, bench.global_min_value)
         data_path, _ = emit_plot_data([str(p1), str(p2)], str(tmp_path / "plots"))
-        lines = open(data_path).read().splitlines()
+        lines = Path(data_path).read_text().splitlines()
         assert lines[-1].endswith(",")  # the 10-iteration run ran out of rows
 
     def test_external_overlay_csv_accepted(self, tmp_path):
@@ -266,10 +267,10 @@ class TestPlot:
         data_path, svg_path = emit_plot_data(
             [str(own), str(external)], str(tmp_path / "plots")
         )
-        svg = open(svg_path).read()
+        svg = Path(svg_path).read_text()
         assert "cone_reference_run" in svg
         assert "#2ca02c" in svg
-        header = open(data_path).read().splitlines()[0]
+        header = Path(data_path).read_text().splitlines()[0]
         assert header == "iter,cone_s2_3,cone_reference_run"
 
     @pytest.mark.parametrize("stem", ["cma&es<1>", "a,b"], ids=["markup", "comma"])
@@ -356,7 +357,7 @@ class TestPlot:
             "2,4.0,4.0,-inf,1.0,0,none\n"
         )
         _, svg_path = emit_plot_data([str(csv_path)], str(tmp_path / "plots"))
-        assert "nan" not in open(svg_path).read()
+        assert "nan" not in Path(svg_path).read_text()
 
     def test_plot_subcommand_exit_codes(self, tmp_path):
         paths = self._make_csvs(tmp_path, strategies=("s2",))
@@ -370,6 +371,6 @@ def test_single_run_svg_monotone_curve(tmp_path):
     assert code == 0
     _, svg_path = emit_plot_data([str(tmp_path / "cone_s2_11.csv")], str(tmp_path / "plots"))
     assert os.path.exists(svg_path)
-    svg = open(svg_path).read()
+    svg = Path(svg_path).read_text()
     assert svg.count("<polyline") == 1
     assert "B-CMA-ES S2" in svg

@@ -12,9 +12,12 @@ checks all 244 of them; this module checks 52 through the script's routines:
   ten (d=40) of their iterations and takes its closed-form shift there,
   which the d=2 runs almost never do.
 
-A refactor that changes one bit of these trajectories fails here. A change
-meant to move bits re-runs the convergence scans and, when they pass,
-regenerates the file and the scans' references in one step::
+A refactor that changes one bit of these trajectories fails here. The bits
+also depend on the CPU, so each failure's message names the entries of the
+file's machine record that differ here, as the script's ``note:`` lines do,
+or says that none does. A change meant to move bits re-runs the convergence
+scans and, when they pass, regenerates the file and the scans' references in
+one step::
 
     PYTHONPATH=src python scripts/calibrate_convergence.py --write
 """
@@ -39,9 +42,16 @@ def golden():
     return json.loads(gate.GOLDEN.read_text())
 
 
+@pytest.fixture(scope="module")
+def machine_note(golden):
+    """Why a digest may differ without a code change: the file was written on another machine."""
+    notes = gate.machine_notes(golden["machine"], gate.machine())
+    return "; ".join(notes) or "the machine record matches this machine"
+
+
 @pytest.mark.parametrize("strategy", ("s1", "s2"))
 @pytest.mark.parametrize("function", tuple(gate.STUDY))
-def test_trace_csv_matches_pinned_digest(function, strategy, tmp_path, golden):
+def test_trace_csv_matches_pinned_digest(function, strategy, tmp_path, golden, machine_note):
     runs = [r for r in gate.RUNS
             if (r.dim, r.sigma0, r.function, r.strategy) == (2, 1.0, function, strategy)]
     spec = RunSpec(function=function, dim=2, strategy=strategy,
@@ -51,10 +61,10 @@ def test_trace_csv_matches_pinned_digest(function, strategy, tmp_path, golden):
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in tmp_path.glob("*.csv")}
     assert len(digests) == 5
-    assert digests == {name: golden["csv"][name] for name in digests}
+    assert digests == {name: golden["csv"][name] for name in digests}, machine_note
 
 
 @pytest.mark.parametrize("r", FULL_RUNS,
                          ids=lambda r: f"{r.function}-{r.dim}-{r.popsize}-{r.seed}")
-def test_full_trace_matches_pinned_digest(r, golden):
-    assert gate.digest(gate.outcome(r)) == golden["full"][r.key]
+def test_full_trace_matches_pinned_digest(r, golden, machine_note):
+    assert gate.digest(gate.outcome(r)) == golden["full"][r.key], machine_note

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bcmaes.niw import NiwParams, SummaryStats, expected_covariance, posterior_update
+from bcmaes.niw import NiwParams, expected_covariance, posterior_update
 
 from _util import make_spd, rel_err
 from oracles import NigParams, nig_posterior, posterior_update_raw, weighted_update_expectations
@@ -33,8 +33,7 @@ class TestExpectations:
 class TestPosteriorUpdate:
     def test_zero_innovation(self):
         p = NiwParams(mu=np.array([1.0, -2.0]), kappa=3.0, nu=7.0, psi=make_spd(np.random.default_rng(0), 2))
-        s = SummaryStats(mu_bar=p.mu, sigma_bar=np.zeros((2, 2)), n_obs=1)
-        q = posterior_update(p, s)
+        q = posterior_update(p, p.mu, np.zeros((2, 2)), 1)
         assert np.array_equal(q.mu, p.mu)
         assert np.array_equal(q.psi, p.psi)
         assert q.kappa == p.kappa + 1
@@ -44,8 +43,7 @@ class TestPosteriorUpdate:
         # mu=0, kappa=1, nu=5, psi=4; mu_bar=2, sigma_bar=3, n=4
         # => mu'=1.6, kappa'=5, nu'=9, psi' = 4 + 3 + (4/5)*4 = 10.2
         p = NiwParams(mu=np.zeros(1), kappa=1.0, nu=5.0, psi=np.array([[4.0]]))
-        s = SummaryStats(mu_bar=np.array([2.0]), sigma_bar=np.array([[3.0]]), n_obs=4)
-        q = posterior_update(p, s)
+        q = posterior_update(p, np.array([2.0]), np.array([[3.0]]), 4)
         assert q.mu[0] == pytest.approx(1.6, rel=1e-15)
         assert q.kappa == 5.0
         assert q.nu == 9.0
@@ -60,8 +58,7 @@ class TestPosteriorUpdate:
             xs = p.mu + rng.normal(size=(n, d)) * rng.uniform(0.5, 3)
             xbar = xs.mean(axis=0)
             dev = xs - xbar
-            s = SummaryStats(mu_bar=xbar, sigma_bar=dev.T @ dev, n_obs=n)
-            via_summary = posterior_update(p, s)
+            via_summary = posterior_update(p, xbar, dev.T @ dev, n)
             via_raw = posterior_update_raw(p, xs)
             assert rel_err(via_summary.mu, via_raw.mu) <= 1e-12
             assert rel_err(via_summary.psi, via_raw.psi) <= 1e-12
@@ -74,8 +71,7 @@ class TestPosteriorUpdate:
             d = int(rng.integers(1, 5))
             n = int(rng.integers(1, 20))
             p = _random_niw(rng, d)
-            s = SummaryStats(mu_bar=rng.normal(size=d), sigma_bar=make_spd(rng, d), n_obs=n)
-            q = posterior_update(p, s)
+            q = posterior_update(p, rng.normal(size=d), make_spd(rng, d), n)
             assert q.kappa == p.kappa + n
             assert q.nu == p.nu + n
             # psi grows by a PSD amount when sigma_bar is PSD
@@ -162,8 +158,7 @@ class TestWeightedUpdateExpectations:
         rng = np.random.default_rng(5)
         p = _random_niw(rng, 2)
         n = 6
-        s = SummaryStats(mu_bar=p.mu.copy(), sigma_bar=np.zeros((2, 2)), n_obs=n)
-        mean_new, cov_new = weighted_update_expectations(p, s)
+        mean_new, cov_new = weighted_update_expectations(p, p.mu.copy(), np.zeros((2, 2)), n)
         assert np.array_equal(mean_new, p.mu)
         d = 2
         w1 = (p.nu - d - 1) / (p.nu + n - d - 1)
@@ -171,8 +166,7 @@ class TestWeightedUpdateExpectations:
 
     def test_mean_weight(self):
         p = NiwParams(mu=np.zeros(1), kappa=1.0, nu=5.0, psi=np.array([[1.0]]))
-        s = SummaryStats(mu_bar=np.array([1.0]), sigma_bar=np.zeros((1, 1)), n_obs=4)
-        mean_new, _ = weighted_update_expectations(p, s)
+        mean_new, _ = weighted_update_expectations(p, np.array([1.0]), np.zeros((1, 1)), 4)
         assert mean_new[0] == pytest.approx(0.8, rel=1e-15)  # n/(kappa+n) = 4/5
 
     def test_identity_with_posterior_update(self):
@@ -181,13 +175,10 @@ class TestWeightedUpdateExpectations:
             d = int(rng.integers(1, 6))
             n = int(rng.integers(1, 51))
             p = _random_niw(rng, d)
-            s = SummaryStats(
-                mu_bar=rng.normal(size=d),
-                sigma_bar=make_spd(rng, d, scale=float(rng.uniform(0.1, 5))),
-                n_obs=n,
-            )
-            mean_w, cov_w = weighted_update_expectations(p, s)
-            q = posterior_update(p, s)
+            mu_bar = rng.normal(size=d)
+            sigma_bar = make_spd(rng, d, scale=float(rng.uniform(0.1, 5)))
+            mean_w, cov_w = weighted_update_expectations(p, mu_bar, sigma_bar, n)
+            q = posterior_update(p, mu_bar, sigma_bar, n)
             assert rel_err(mean_w, q.mu) <= 1e-10
             assert rel_err(cov_w, expected_covariance(q)) <= 1e-10
 
@@ -197,21 +188,20 @@ class TestWeightedUpdateExpectations:
         rng = np.random.default_rng(13)
         d = n = 3
         p = _random_niw(rng, d)
-        s = SummaryStats(mu_bar=rng.normal(size=d), sigma_bar=make_spd(rng, d), n_obs=n)
-        _, cov_w = weighted_update_expectations(p, s)
-        shift = s.mu_bar - p.mu
+        mu_bar, sigma_bar = rng.normal(size=d), make_spd(rng, d)
+        _, cov_w = weighted_update_expectations(p, mu_bar, sigma_bar, n)
+        shift = mu_bar - p.mu
         classic = (
             (p.nu - n - 1) / (p.nu - 1) * expected_covariance(p)
             + (p.kappa * n) / ((p.kappa + n) * (p.nu - 1)) * np.outer(shift, shift)
-            + s.sigma_bar / (p.nu - 1)
+            + sigma_bar / (p.nu - 1)
         )
         assert rel_err(cov_w, classic) <= 1e-12
 
     def test_low_dof_rejected(self):
         p = NiwParams(mu=np.zeros(2), kappa=1.0, nu=3.0, psi=np.eye(2))
-        s = SummaryStats(mu_bar=np.zeros(2), sigma_bar=np.eye(2), n_obs=4)
         with pytest.raises(ValueError):
-            weighted_update_expectations(p, s)
+            weighted_update_expectations(p, np.zeros(2), np.eye(2), 4)
 
 
 class TestValidationAndJson:

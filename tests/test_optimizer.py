@@ -102,11 +102,16 @@ class TestConfig:
         ("sigma0", [1.0], "positive and finite"),
         ("x0", [{}, 0], "finite"),
         ("x0", [1 + 1j, 0], "finite"),
+        ("x0", np.array([1 + 1j, 0]), "finite"),
+        ("sigma0", np.complex128(2 + 1j), "positive and finite"),
+        ("sigma0", [[1.0], [1.0, 2.0]], "positive and finite"),
+        ("sigma0", "abc", "positive and finite"),
     ], ids=["sigma0-nan", "sigma0-inf", "sigma0-zero", "sigma0-negative", "x0-nan", "x0-inf",
             "dim-float", "dim-negative", "popsize-fraction", "popsize-float", "max_iter-fraction",
             "seed-fraction", "seed-str", "seed-bool", "seed-negative", "seed-too-large",
             "sigma0-int-beyond-float", "x0-int-beyond-float", "sigma0-none", "sigma0-complex",
-            "sigma0-list", "x0-dict-entry", "x0-complex-entry"])
+            "sigma0-list", "x0-dict-entry", "x0-complex-entry", "x0-complex-array",
+            "sigma0-numpy-complex", "sigma0-ragged", "sigma0-non-numeric-str"])
     def test_rejected_at_construction(self, field, value, message):
         # the run boundary: nothing past the config re-checks these
         with pytest.raises(ValueError, match=message):
@@ -365,9 +370,9 @@ class TestCallback:
 
     def test_sees_every_row_built_before_prior_degeneracy(self, monkeypatch):
         # the mean's guard of iteration 3 raises after rows 1 and 2 were built
-        def overflowing_update(p, s):
-            q = posterior_update(p, s)
-            if q.nu > p.dim + 3 + s.n_obs:
+        def overflowing_update(p, mu_bar, sigma_bar, n_obs):
+            q = posterior_update(p, mu_bar, sigma_bar, n_obs)
+            if q.nu > p.dim + 3 + n_obs:
                 q.mu[0] = np.inf
             return q
 
@@ -470,8 +475,8 @@ class TestStops:
     def test_certificate_jitters_at_most_once(self, monkeypatch):
         # an update whose expected covariance is exactly singular, [[1, 1], [1, 1]]:
         # each certificate after the prior's factors it once more, with one jitter
-        def singular_update(p, s):
-            q = posterior_update(p, s)
+        def singular_update(p, mu_bar, sigma_bar, n_obs):
+            q = posterior_update(p, mu_bar, sigma_bar, n_obs)
             return replace(q, psi=(q.nu - 3) * np.ones((2, 2)))
 
         monkeypatch.setattr(optimizer, "posterior_update", singular_update)
@@ -525,8 +530,8 @@ class TestStops:
     def test_unrepairable_update_raises_prior_degeneracy(self, monkeypatch):
         # posterior_update builds psi' unchecked; the next iteration's belief
         # repair rejects a non-finite scale
-        def overflowed_update(p, s):
-            q = posterior_update(p, s)
+        def overflowed_update(p, mu_bar, sigma_bar, n_obs):
+            q = posterior_update(p, mu_bar, sigma_bar, n_obs)
             q.psi[0, 0] = np.inf
             return q
 
@@ -540,9 +545,9 @@ class TestStops:
         # the certificate's guard, with an injected fault: psi' overflows in the
         # conjugate update of iteration 3, which builds it unchecked; the belief
         # repair of iteration 4 rejects it, and the loop warns of nothing first
-        def overflowing_update(p, s):
-            q = posterior_update(p, s)
-            if q.nu > p.dim + 3 + 2 * s.n_obs:
+        def overflowing_update(p, mu_bar, sigma_bar, n_obs):
+            q = posterior_update(p, mu_bar, sigma_bar, n_obs)
+            if q.nu > p.dim + 3 + 2 * n_obs:
                 np.multiply(q.psi, 1e308, out=q.psi)
             return q
 
@@ -616,9 +621,9 @@ class TestStops:
     def test_overflowing_mean_raises_prior_degeneracy(self, monkeypatch):
         # the mean's guard, with an injected fault: kappa * mu + n * mu_bar
         # overflows in the conjugate update of iteration 2
-        def overflowing_update(p, s):
-            q = posterior_update(p, s)
-            if q.nu > p.dim + 3 + s.n_obs:
+        def overflowing_update(p, mu_bar, sigma_bar, n_obs):
+            q = posterior_update(p, mu_bar, sigma_bar, n_obs)
+            if q.nu > p.dim + 3 + n_obs:
                 q.mu[0] = np.inf
             return q
 
@@ -668,8 +673,9 @@ class TestStops:
         # posterior_update does not factor psi'; the next iteration's repair of
         # the belief covariance is its certificate. This scale has eigenvalues
         # -999 and 1001: indefinite, so the certificate's one jitter does not help.
-        def indefinite_update(p, s):
-            return replace(posterior_update(p, s), psi=np.array([[1.0, 1e3], [1e3, 1.0]]))
+        def indefinite_update(p, mu_bar, sigma_bar, n_obs):
+            q = posterior_update(p, mu_bar, sigma_bar, n_obs)
+            return replace(q, psi=np.array([[1.0, 1e3], [1e3, 1.0]]))
 
         monkeypatch.setattr(optimizer, "posterior_update", indefinite_update)
         with pytest.raises(PriorDegeneracy, match="iteration 2") as info:

@@ -48,7 +48,8 @@ def test_calibration_scan_json_records(gate, tmp_path, capsys):
                                         "0/2 equal", "d2: missing", "d10: missing"]
         # 12 scan runs and the digested run, whose CSV is written from its result
         assert out.err.startswith("13 runs in ")
-    assert sorted(json.loads(gate.GOLDEN.read_text())) == ["csv", "full", "openblas_num_threads"]
+    assert sorted(json.loads(gate.GOLDEN.read_text())) == ["csv", "full", "machine",
+                                                           "openblas_num_threads"]
     assert gate.main([]) == 0
     digests, *lines = capsys.readouterr().out.splitlines()
     assert digests == "2/2 equal"
@@ -84,6 +85,21 @@ def test_calibration_gate_writes_over_a_digest_difference(gate, capsys):
         assert capsys.readouterr().out.splitlines()[:2] == [f"{DIGESTED[0].key}: differs",
                                                             "1/2 equal"]
     assert gate.GOLDEN.read_text() == written
+
+
+def test_calibration_gate_names_another_machine_before_its_digests(gate, capsys):
+    # a golden file written on a host whose OpenBLAS picked other kernels
+    assert gate.main(["--write"]) == 0
+    doc = json.loads(gate.GOLDEN.read_text())
+    core = doc["machine"]["openblas_core"]
+    other = "Haswell" if core != "Haswell" else "SkylakeX"
+    doc["machine"]["openblas_core"] = other
+    gate.GOLDEN.write_text(json.dumps(doc))
+    capsys.readouterr()
+    # the note explains a digest difference; on its own it fails nothing
+    assert gate.main([]) == 0
+    assert capsys.readouterr().out.splitlines()[:2] == [
+        f'note: openblas_core {json.dumps(core)}, the file was written on "{other}"', "2/2 equal"]
 
 
 def test_calibration_gate_fails_a_better_reference_and_keeps_it(gate, tmp_path, capsys):
