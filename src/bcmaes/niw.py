@@ -5,30 +5,32 @@ expectations drive candidate sampling: E[mean] is ``mu`` itself, and
 E[covariance] is :func:`expected_covariance`. Evaluated populations feed back
 through exact conjugate updates from the likelihood summary
 (mu_bar, sigma_bar, n_obs) that :func:`~bcmaes.likelihood.summarize` returns.
-The records are internal state of the run loop, which builds them from values
-derived from a checked :class:`~bcmaes.optimizer.OptimizerConfig`, so nothing
-here checks its arguments. The independent routes that check the update (the
+A belief is an immutable named tuple, internal state of the run loop, which
+builds it from values derived from a checked
+:class:`~bcmaes.optimizer.OptimizerConfig`, so nothing here checks its
+arguments. The independent routes that check the update (the
 raw-observation update, its 1-D Normal-Inverse-Gamma twin and the
 weighted-combination form of the expectations) live with the tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 
-@dataclass(frozen=True, eq=False)
-class NiwParams:
+class NiwParams(NamedTuple):
     """Hyperparameters of the belief: location, pseudo-count, degrees of freedom, scale.
+
+    An immutable named tuple; its construction checks nothing.
 
     ``mu`` is a float64 vector and ``psi`` a symmetric positive-definite
     float64 matrix of the same dimension; ``kappa`` and ``nu`` are floats,
     which each update increases by the observation count. The controller's
     interventions rescale or replace ``psi`` and replace ``mu``; they never
-    touch ``kappa`` or ``nu``. Construction does not check any of this: the
-    run loop's values satisfy it by construction.
+    touch ``kappa`` or ``nu``. The run loop's values satisfy all of this by
+    construction.
     """
 
     mu: np.ndarray
@@ -39,19 +41,6 @@ class NiwParams:
     @property
     def dim(self) -> int:
         return self.mu.shape[0]
-
-
-def _record(cls, **fields):
-    """Build the frozen dataclass ``cls`` from every one of its fields, bypassing ``__init__``.
-
-    Only the frozen ``__init__``, with its per-field ``object.__setattr__``
-    calls, is skipped; the record stays frozen. It builds a record in about
-    half the time of the constructor, and the run loop builds several per
-    iteration this way.
-    """
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
 
 
 def expected_covariance(p: NiwParams) -> np.ndarray:
@@ -101,4 +90,4 @@ def posterior_update(
     psi_new += outer
     psi_new = psi_new + psi_new.T
     psi_new *= 0.5
-    return _record(NiwParams, mu=mu_new, kappa=kappa + n, nu=p.nu + n, psi=psi_new)
+    return NiwParams(mu=mu_new, kappa=kappa + n, nu=p.nu + n, psi=psi_new)

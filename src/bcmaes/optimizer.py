@@ -27,7 +27,7 @@ import numpy as np
 from .errors import PriorDegeneracy
 from .likelihood import STRATEGIES, summarize
 from .linalg import _sample, frobenius_norm, spd_repair
-from .niw import NiwParams, _record, expected_covariance, posterior_update
+from .niw import NiwParams, expected_covariance, posterior_update
 from .restart import TERMINATE, init_restart, step_restart
 from .rng import RandomSource
 
@@ -69,13 +69,13 @@ class OptimizerConfig:
             raise ValueError("dim must be at least 1")
         if not (0 <= self.seed < 2**64):
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
-        # a complex value would be cast to float with only a ComplexWarning, dropping its imaginary part
-        if np.iscomplexobj(self.x0):
-            raise ValueError("x0 entries must be finite")
         try:
-            x0 = np.asarray(self.x0, dtype=float)
-        except (OverflowError, TypeError) as exc:  # an int beyond the float range, or not a real
-            raise ValueError("x0 entries must be finite") from exc
+            # a complex value would be cast to float with only a ComplexWarning, dropping its imaginary part
+            x0 = None if np.iscomplexobj(self.x0) else np.asarray(self.x0, dtype=float)
+        except (OverflowError, TypeError, ValueError):  # ragged, an int beyond the float range, or not a real
+            x0 = None
+        if x0 is None:
+            raise ValueError("x0 entries must be finite")
         if x0.shape != (self.dim,):
             raise ValueError(f"x0 must have shape ({self.dim},), got {x0.shape}")
         if not np.all(np.isfinite(x0)):
@@ -196,7 +196,9 @@ def run(
 
     Errors: an invalid configuration raises ``ValueError`` when the
     :class:`OptimizerConfig` is constructed; past that, the loop trusts the
-    values it derives and builds its records without re-checking them.
+    values it derives. Its records are built by their own constructors,
+    which check nothing: the belief and the controller's state and decision
+    are named tuples, the trace rows frozen dataclasses.
 
     Raises
     ------
@@ -267,15 +269,13 @@ def run(
                     psi = psi * scale
                     if event == "none":
                         event = "dilate" if scale > 1.0 else "contract"
-                state = _record(NiwParams, mu=mu, kappa=state.kappa, nu=state.nu, psi=psi)
+                state = NiwParams(mu=mu, kappa=state.kappa, nu=state.nu, psi=psi)
 
             # the next iteration samples from this same expected covariance
             belief_cov = expected_covariance(state)
             cov_norm = frobenius_norm(belief_cov)
             mean_x = state.mu * sigma0 + x0
-        # the records are frozen, but built without the dataclass __init__
-        row = _record(
-            IterationTrace,
+        row = IterationTrace(
             iter=t,
             f_best_iter=f_best_iter,
             f_min_so_far=controller.f_min,

@@ -5,18 +5,16 @@ are tolerated unchanged; medium stalls inflate the search variance to escape
 local minima; once the counter reaches the restart level the search recenters
 on the best point seen (with the covariance that found it) and the variance
 is progressively contracted; a full ladder of contractions without any
-improvement signals termination.
+improvement signals termination. The controller's state and its decisions
+are immutable named tuples.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
-
-from .niw import _record
 
 # the ladder: retrial levels L1 < ... < L5, dilatation K1 > 1, contractions K2 >= K3 >= K4
 _L1, _L2, _L3, _L4, _L5 = 5, 20, 30, 40, 50
@@ -26,8 +24,7 @@ CONTINUE = "continue"
 TERMINATE = "terminate"
 
 
-@dataclass(frozen=True)
-class RestartState:
+class RestartState(NamedTuple):
     """Controller memory: stall counter and best-seen record."""
 
     retrial: int
@@ -36,8 +33,7 @@ class RestartState:
     sigma_min: Optional[np.ndarray]
 
 
-@dataclass(frozen=True)
-class RestartDecision:
+class RestartDecision(NamedTuple):
     """Outcome of one controller step.
 
     ``new_sigma_scale`` multiplies the current search covariance (1.0 means
@@ -51,7 +47,7 @@ class RestartDecision:
     restart_sigma: Optional[np.ndarray] = None
 
 
-# the decisions that carry no arrays are shared: records are frozen
+# the decisions that carry no arrays are shared: records are immutable
 _IMPROVED = RestartDecision(action=CONTINUE, new_sigma_scale=1.0)
 _TERMINATED = RestartDecision(action=TERMINATE)
 
@@ -88,8 +84,7 @@ def step_restart(
     (5, 20, 30, 40, 50) and factors (1.5, 0.9, 0.7, 0.5).
     """
     if f_best < math.inf and f_best <= state.f_min:
-        new_state = _record(
-            RestartState,
+        new_state = RestartState(
             retrial=0,
             f_min=float(f_best),
             x_min=np.asarray(x_best, dtype=float).copy(),
@@ -98,8 +93,8 @@ def step_restart(
         return new_state, _IMPROVED
 
     retrial = state.retrial + 1
-    new_state = _record(RestartState, retrial=retrial, f_min=state.f_min, x_min=state.x_min,
-                        sigma_min=state.sigma_min)
+    new_state = RestartState(retrial=retrial, f_min=state.f_min, x_min=state.x_min,
+                             sigma_min=state.sigma_min)
     if retrial >= _L5:
         return new_state, _TERMINATED
 
@@ -119,8 +114,7 @@ def step_restart(
         scale = _K3
     else:
         scale = _K4
-    return new_state, _record(
-        RestartDecision,
+    return new_state, RestartDecision(
         action=CONTINUE,
         new_sigma_scale=scale,
         restart_point=restart_point,

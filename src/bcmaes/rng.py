@@ -1,8 +1,11 @@
 """Seeded random source with a frozen, documented variate pipeline.
 
 Reproducibility contract: a given 64-bit seed yields the same stream of
-standard-normal variates on every platform and every run.  The pipeline is
-fixed for the lifetime of the repository:
+standard-normal variates on every run, and on every machine whose C library
+computes the same ``log``: step 3 takes two logarithms from libm, which
+picks its kernel by CPU, so a host where it picks another can give other
+bits for some variates. The pipeline is fixed for the lifetime of the
+repository:
 
 1. raw 64-bit integers come from the PCG64 bit generator (a permuted
    congruential generator whose raw stream numpy guarantees stable);

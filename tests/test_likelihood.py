@@ -377,6 +377,23 @@ class TestSummarize:
         assert mean1[0] != mean2[0]
         assert np.array_equal(cov1, cov2)
 
+    @pytest.mark.parametrize("strategy", ["s1", "s2"])
+    def test_leaves_its_arrays(self, strategy):
+        # k < d with a tiny prior covariance and uneven weights: the estimate
+        # does not factor, so the in-place shift path runs too
+        rng = np.random.default_rng(0)
+        k, d = 3, 5
+        weights = np.exp(rng.uniform(-20, 0, size=k))
+        weights /= weights.sum()
+        inputs = (rng.normal(scale=5.0, size=(k, d)), rng.normal(size=k), weights,
+                  rng.normal(size=d), 1e-8 * np.eye(d))
+        before = [a.copy() for a in inputs]
+        with spy_factorizations() as spy:
+            summarize(*inputs, strategy)
+        assert [factor for _, _, factor in spy.calls] == [None]  # the estimate was shifted
+        for a, b in zip(inputs, before):
+            assert np.array_equal(a, b)
+
 
 class TestInputOrderInvariance:
     def test_joint_permutation_leaves_outputs(self):

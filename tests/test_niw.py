@@ -39,6 +39,16 @@ class TestPosteriorUpdate:
         assert q.kappa == p.kappa + 1
         assert q.nu == p.nu + 1
 
+    def test_leaves_its_inputs(self):
+        rng = np.random.default_rng(3)
+        p = _random_niw(rng, 3)
+        mu_bar, sigma_bar = rng.normal(size=3), make_spd(rng, 3)
+        inputs = (p.mu, p.psi, mu_bar, sigma_bar)
+        before = [a.copy() for a in inputs]
+        posterior_update(p, mu_bar, sigma_bar, 6)
+        for a, b in zip(inputs, before):
+            assert np.array_equal(a, b)
+
     def test_hand_case_1d(self):
         # mu=0, kappa=1, nu=5, psi=4; mu_bar=2, sigma_bar=3, n=4
         # => mu'=1.6, kappa'=5, nu'=9, psi' = 4 + 3 + (4/5)*4 = 10.2

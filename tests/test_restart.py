@@ -54,6 +54,15 @@ class TestImprovement:
         assert np.array_equal(state.x_min, _POINT * 2)
         assert np.array_equal(state.sigma_min, 3 * _SIGMA)
 
+    def test_record_is_its_own_copy(self):
+        # writing to the arrays passed in leaves the recorded point and covariance
+        x_best, sigma = _POINT.copy(), _SIGMA.copy()
+        state, _ = step_restart(init_restart(), x_best, 1.0, sigma)
+        x_best[:] = np.nan
+        sigma[:] = np.nan
+        assert np.array_equal(state.x_min, _POINT)
+        assert np.array_equal(state.sigma_min, _SIGMA)
+
     def test_plateau_counts_as_improvement(self):
         state = init_restart()
         state, _ = step_restart(state, _POINT, 5.0, _SIGMA)
