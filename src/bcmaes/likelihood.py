@@ -65,7 +65,11 @@ def summarize(
     - ``strategy`` is one of :data:`STRATEGIES`.
 
     ``sigma_bar`` comes out positive definite. A scatter that overflows
-    leaves the estimate non-finite, which raises ``ValueError``.
+    leaves the estimate non-finite, which raises ``ValueError``. numpy's
+    error state is the caller's, and the run loop ignores every flag: an
+    estimate that does not factor signals ``invalid``, and a scatter that
+    overflows signals ``over``, each of which warns when ``summarize`` is
+    called alone under numpy's default state.
     """
     neg_w = -weights
     # fitness ascending, then weight descending, then index: lexsort is stable
@@ -90,8 +94,7 @@ def summarize(
     out *= 0.5
     if not np.logical_and.reduce(np.isfinite(out), axis=None):
         raise ValueError("covariance estimate entries must be finite")
-    with np.errstate(all="ignore"):
-        factor = _cholesky(out)
+    factor = _cholesky(out)
     if factor is None:
         # the infinity norm, the largest absolute row sum, is at least every |eigenvalue|
         shift = np.maximum.reduce(np.add.reduce(np.abs(out), axis=1))

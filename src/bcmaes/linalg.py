@@ -12,6 +12,12 @@ not go through it: that estimate is often indefinite, and
 :func:`~bcmaes.likelihood.summarize` shifts it in closed form. Both factor
 through :func:`_cholesky`, the package's one factorization entry.
 
+No function here sets numpy's error state; the run loop holds one that
+ignores every floating-point flag around them. A factorization that fails
+signals ``invalid``, so a call into a matrix that is not positive definite,
+made outside the loop under numpy's default state, may emit numpy's
+``invalid`` RuntimeWarning before the caller sees the failure.
+
 :func:`_sample` returns the points together with the standard-normal
 variates ``z`` behind them: with ``x = mean + L z`` the sampling density of
 ``x`` is ``exp(-|z|**2 / 2)`` times a constant shared by the whole
@@ -51,7 +57,9 @@ def spd_repair(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     or nearly so, and one jitter repairs that; an indefinite matrix is not
     repaired. The caller guarantees a float64 square matrix, exactly
     symmetric, and nothing here checks it. Finiteness is checked, because an
-    overflow upstream can break it.
+    overflow upstream can break it. numpy's error state is the caller's: a
+    failed attempt signals ``invalid``, which warns under numpy's default
+    state and not under the loop's.
 
     Raises
     ------
@@ -61,13 +69,12 @@ def spd_repair(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     if not np.logical_and.reduce(np.isfinite(m), axis=None):
         raise ValueError("matrix entries must be finite")
-    with np.errstate(all="ignore"):
-        factor = _cholesky(m)
-        if factor is not None:
-            return m, factor
-        eps = scaled_jitter_eps(m)
-        repaired = m + eps * np.eye(m.shape[0])
-        factor = _cholesky(repaired)
+    factor = _cholesky(m)
+    if factor is not None:
+        return m, factor
+    eps = scaled_jitter_eps(m)
+    repaired = m + eps * np.eye(m.shape[0])
+    factor = _cholesky(repaired)
     if factor is None:
         raise ValueError(f"matrix not positive definite, nor with jitter {eps}")
     return repaired, factor
@@ -80,12 +87,13 @@ def _cholesky(m: np.ndarray) -> np.ndarray | None:
     gufunc that ``np.linalg.cholesky`` calls, with its bits, but without
     that wrapper's checks, casts and error-state setup. ``m`` is a finite
     float64 square matrix; the callers check finiteness. On failure the
-    gufunc fills the factor with NaN and signals an invalid operation, so
-    the caller makes the call under ``np.errstate(all="ignore")``, which
-    also silences the flags ``np.linalg.cholesky`` ignores. A NaN that arises
-    inside a factorization that LAPACK accepts reaches the last diagonal
-    entry, so that entry is the one tested: ``None`` comes back exactly
-    where ``np.linalg.cholesky`` raises.
+    gufunc fills the factor with NaN and signals an invalid operation. No
+    error state is set here: the run loop calls every layer under one that
+    ignores all flags, which also silences those ``np.linalg.cholesky``
+    ignores, and a call made outside it may emit numpy's ``invalid``
+    RuntimeWarning. A NaN that arises inside a factorization that LAPACK
+    accepts reaches the last diagonal entry, so that entry is the one
+    tested: ``None`` comes back exactly where ``np.linalg.cholesky`` raises.
     """
     factor = _umath_linalg.cholesky_lo(m, signature="d->d")
     return None if math.isnan(factor[-1, -1]) else factor

@@ -194,6 +194,12 @@ def run(
     checks and so also for the last iteration. An exception the objective
     or the callback raises propagates unchanged.
 
+    The loop owns numpy's error state; the layers set none. Each iteration
+    enters ``np.errstate(all="ignore")`` twice: once from the belief's
+    certificate through ``x``, and once from the weights through the next
+    expected covariance. The objective and the callback run outside both,
+    so their own warnings surface, and the loop raises none of its own.
+
     Errors: an invalid configuration raises ``ValueError`` when the
     :class:`OptimizerConfig` is constructed; past that, the loop trusts the
     values it derives. Its records are built by their own constructors,
@@ -225,22 +231,23 @@ def run(
     for t in range(1, config.max_iter + 1):
         # the expected mean, not copied: nothing below writes to it
         mean = state.mu
-        try:
-            cov, chol = spd_repair(belief_cov)
-        except ValueError as exc:  # non-finite, or not positive definite even with jitter
-            raise PriorDegeneracy(f"belief covariance degenerate at iteration {t}") from exc
-        if not np.logical_and.reduce(np.isfinite(mean)):
-            # the mean update's kappa * mu + n * mu_bar overflows for |mu| near the float range
-            raise PriorDegeneracy(f"belief mean not finite at iteration {t}")
-        points, z = _sample(mean, chol, k, rng)
-        # x overflows to inf near the float range's end; the objective keeps its own warnings
-        with np.errstate(over="ignore", invalid="ignore"):
+        # the layers leave numpy's error state to the loop: a failed factorization signals
+        # invalid, x overflows to inf near the float range's end, and an overflow in the
+        # update ends in PriorDegeneracy or in an inf record of x, so numpy's warnings would
+        # only announce it early; the objective and the callback keep their own warnings
+        with np.errstate(all="ignore"):
+            try:
+                cov, chol = spd_repair(belief_cov)
+            except ValueError as exc:  # non-finite, or not positive definite even with jitter
+                raise PriorDegeneracy(f"belief covariance degenerate at iteration {t}") from exc
+            if not np.logical_and.reduce(np.isfinite(mean)):
+                # the mean update's kappa * mu + n * mu_bar overflows for |mu| near the float range
+                raise PriorDegeneracy(f"belief mean not finite at iteration {t}")
+            points, z = _sample(mean, chol, k, rng)
             x = points * sigma0 + x0
         fitness, n_nan = _evaluate(x, objective)
         nan_evals += n_nan
-        # an overflow below ends in PriorDegeneracy or in an inf record of x, so numpy's
-        # warnings would only announce it early
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(all="ignore"):
             # y = mean + chol @ z has density exp(-|z|**2 / 2) / ((2 pi)**(d/2) det chol);
             # the constant is common to the population and cancels in the weights
             q = np.add.reduce(z * z, axis=1)
@@ -298,7 +305,7 @@ def run(
 
     # x_min is unset only if every evaluation came back +inf; x_best is made as x was
     y_best = controller.x_min if controller.x_min is not None else np.zeros(d)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         x_best = y_best * sigma0 + x0
     return RunResult(
         x_best=x_best,

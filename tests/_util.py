@@ -29,6 +29,19 @@ def rel_err(actual: np.ndarray, expected: np.ndarray) -> float:
     return float(np.abs(actual - expected).max()) / denom
 
 
+def in_loop(fn, *args):
+    """``fn(*args)`` under the error state ``run`` holds around its layers.
+
+    The layers leave numpy's error state to their caller, and the loop
+    ignores every floating-point flag while it certifies, samples, weights,
+    summarizes and updates. A layer called alone warns where numpy's default
+    state does (a failed factorization signals ``invalid``); called through
+    this, it sees the state it runs in.
+    """
+    with np.errstate(all="ignore"):
+        return fn(*args)
+
+
 def load_script(name: str):
     """Import ``scripts/<name>.py`` as a module, without running its ``main``.
 

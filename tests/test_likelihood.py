@@ -10,16 +10,19 @@ from bcmaes.likelihood import summarize
 from bcmaes.linalg import scaled_jitter_eps
 from bcmaes.optimizer import _softmax
 
-from _util import make_spd, spy_factorizations
+from _util import in_loop, make_spd, spy_factorizations
 from oracles import mvn_logpdf_batch, mvn_pdf
 
 
 def _summary(points, fitness, densities, prior_mean, prior_cov, strategy):
-    """``summarize`` on float64 copies of the inputs, weighted by the normalized densities."""
+    """``summarize`` on float64 copies of the inputs, weighted by the normalized densities.
+
+    Called under the loop's error state, as ``run`` calls it.
+    """
     densities = np.asarray(densities, dtype=float)
-    return summarize(np.asarray(points, dtype=float), np.asarray(fitness, dtype=float),
-                     densities / densities.sum(), np.asarray(prior_mean, dtype=float),
-                     np.asarray(prior_cov, dtype=float), strategy)
+    return in_loop(summarize, np.asarray(points, dtype=float), np.asarray(fitness, dtype=float),
+                   densities / densities.sum(), np.asarray(prior_mean, dtype=float),
+                   np.asarray(prior_cov, dtype=float), strategy)
 
 
 def _s1_mean(points, fitness, densities, prior_mean):
@@ -151,7 +154,8 @@ class TestPairingOrder:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         points = rng.normal(size=(k, d))
         prior_mean, prior_cov = rng.normal(size=d), make_spd(rng, d)
-        got_mean, got_cov, _ = summarize(points, fitness, weights, prior_mean, prior_cov, strategy)
+        got_mean, got_cov, _ = in_loop(summarize, points, fitness, weights, prior_mean, prior_cov,
+                                       strategy)
         mu_bar, sigma_bar = _two_stage_summary(points, fitness, weights, prior_mean, prior_cov,
                                                strategy)
         assert got_mean.tobytes() == mu_bar.tobytes()
@@ -389,7 +393,7 @@ class TestSummarize:
                   rng.normal(size=d), 1e-8 * np.eye(d))
         before = [a.copy() for a in inputs]
         with spy_factorizations() as spy:
-            summarize(*inputs, strategy)
+            in_loop(summarize, *inputs, strategy)
         assert [factor for _, _, factor in spy.calls] == [None]  # the estimate was shifted
         for a, b in zip(inputs, before):
             assert np.array_equal(a, b)

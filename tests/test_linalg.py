@@ -11,7 +11,7 @@ from bcmaes.linalg import _cholesky, _sample, frobenius_norm, scaled_jitter_eps,
 from bcmaes.rng import RandomSource
 
 import oracles
-from _util import make_spd, spy_factorizations
+from _util import in_loop, make_spd, spy_factorizations
 from oracles import mvn_logpdf_batch, mvn_pdf
 
 
@@ -50,22 +50,16 @@ class TestCholesky:
     def test_not_positive_definite(self):
         # attempt 0 rejects these singular matrices, and one whose smallest
         # eigenvalue is about -eps / 2, so each comes back with one jitter on
-        # its diagonal, in two attempts that warn no more than
-        # np.linalg.cholesky's did
+        # its diagonal, in two attempts that warn nothing under the loop's
+        # error state
         off = 1.0 + 5e-11
         for m in (np.ones((2, 2)), np.array([[3.0, -3.0], [-3.0, 3.0]]),
                   np.array([[1.0, off], [off, 1.0]])):
             with spy_factorizations() as spy:
-                out, L = spd_repair(m)
+                out, L = in_loop(spd_repair, m)
             assert [factor is None for _, _, factor in spy.calls] == [True, False]
             assert np.array_equal(out, m + scaled_jitter_eps(m) * np.eye(2))
             assert np.array_equal(L, np.linalg.cholesky(out))
-
-
-def _factor(m: np.ndarray):
-    """``_cholesky(m)`` as the package calls it, under an ignoring error state."""
-    with np.errstate(all="ignore"):
-        return _cholesky(m)
 
 
 def _numpy_factor(m: np.ndarray):
@@ -99,7 +93,7 @@ class TestCholeskyEntry:
         rng = np.random.default_rng(d)
         for scale in (1e-8, 1.0, 1e6):
             m = make_spd(rng, d, scale)
-            got = _factor(m)
+            got = in_loop(_cholesky, m)
             assert got is not None
             assert got.dtype == np.float64 and got.shape == (d, d)
             assert got.tobytes() == np.linalg.cholesky(m).tobytes()
@@ -117,7 +111,7 @@ class TestCholeskyEntry:
     def test_none_where_numpy_raises(self, m):
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(m)
-        assert _factor(m) is None
+        assert in_loop(_cholesky, m) is None
 
     def test_positive_definite_boundary(self):
         matrices = _near_boundary_2x2()
@@ -125,7 +119,7 @@ class TestCholeskyEntry:
         # the fixture has both sides of the boundary
         assert any(e is None for e in expected) and any(e is not None for e in expected)
         for m, want in zip(matrices, expected):
-            got = _factor(m)
+            got = in_loop(_cholesky, m)
             if want is None:
                 assert got is None
             else:
@@ -144,11 +138,11 @@ class TestSpdRepair:
         # jitter adds 0 and its retry fails as attempt 0 did
         assert scaled_jitter_eps(np.zeros((2, 2))) == 0.0
         with pytest.raises(ValueError, match="not positive definite"):
-            spd_repair(np.zeros((2, 2)))
+            in_loop(spd_repair, np.zeros((2, 2)))
 
     def test_rank_deficient_repaired(self):
         m = np.array([[1.0, 1.0], [1.0, 1.0]])
-        out, L = spd_repair(m)
+        out, L = in_loop(spd_repair, m)
         assert np.array_equal(L, np.linalg.cholesky(out))
 
     def test_jitter_base_scales_with_diagonal(self):
@@ -156,10 +150,10 @@ class TestSpdRepair:
         # below a unit diagonal too, and a power of two scales the bits exactly
         m = np.array([[1.0, 1.0], [1.0, 1.0]])
         for s in (1.0, 1e6, 1e-6):
-            out, _ = spd_repair(s * m)
+            out, _ = in_loop(spd_repair, s * m)
             assert np.array_equal(out, s * m + 1e-10 * s * np.eye(2))
         for s in (2.0**-600, 2.0**20):
-            assert np.array_equal(spd_repair(s * m)[0], s * spd_repair(m)[0])
+            assert np.array_equal(in_loop(spd_repair, s * m)[0], s * in_loop(spd_repair, m)[0])
 
     def test_jitter_base_underflows_below_the_subnormals(self):
         # 1e-10 times the largest diagonal entry reaches 0 once that entry is
@@ -186,12 +180,13 @@ class TestSpdRepair:
     def test_repair_failed_after_escalations(self):
         # an indefinite matrix is not repaired, whatever its diagonal: the one
         # jitter, 1e-10 x the largest diagonal magnitude, lifts no eigenvalue
-        # from -1, -999 or -1e30, and neither attempt warns
+        # from -1, -999 or -1e30, and under the loop's error state neither
+        # attempt warns
         for m in (np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([[1.0, 1e3], [1e3, 1.0]]),
                   np.diag([-1e30, 1.0])):
             with spy_factorizations() as spy:
                 with pytest.raises(ValueError, match="^matrix not positive definite"):
-                    spd_repair(m)
+                    in_loop(spd_repair, m)
             assert [factor for _, _, factor in spy.calls] == [None, None]
 
 

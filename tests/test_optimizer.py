@@ -206,6 +206,22 @@ class TestBudget:
         assert len(spy.calls) == 2 * result.iterations
         assert spy.numpy["cholesky"] == 0
 
+    def test_two_errstate_entries_per_iteration(self, monkeypatch):
+        # the loop owns numpy's error state: one block from the certificate to x,
+        # one from the weights to the expected covariance, and one per run for
+        # x_best; the layers enter none of their own
+        entries = []
+
+        class Counting(np.errstate):
+            def __enter__(self):
+                entries.append(self)
+                return super().__enter__()
+
+        monkeypatch.setattr(np, "errstate", Counting)
+        result = run(_cone_config(max_iter=40), cone)
+        assert result.iterations == 40
+        assert len(entries) == 2 * result.iterations + 1
+
     @pytest.mark.parametrize("dim,popsize", [(2, None), (10, None), (40, 15)])
     def test_no_search_and_no_projection(self, dim, popsize):
         # one attempt each for the belief's certificate and the covariance

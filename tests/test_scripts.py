@@ -320,3 +320,23 @@ def test_reproduce_convergence_writes_what_the_cli_writes(tmp_path):
                          "--max-iter", str(budget), "--out", str(cli_out)]) == 0
             name = f"{function}_{strategy}_3.csv"
             assert (out / strategy / name).read_bytes() == (cli_out / name).read_bytes()
+
+
+def test_a_failing_property_test_leaves_the_session_running(tmp_path):
+    # under the suite's warning filter, Hypothesis's failure report imports a
+    # module that warns on import; the session must report the failure and go
+    # on to later tests, not stop with an internal error (exit 3)
+    (tmp_path / "test_a.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(n):\n"
+        "    assert n < 0\n")
+    (tmp_path / "test_b.py").write_text("def test_later():\n    pass\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path),
+         str(tmp_path / "test_a.py"), str(tmp_path / "test_b.py")],
+        cwd=tmp_path, capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout
